@@ -3,7 +3,8 @@
 Every run emits a JSON report (CSV is available for Hilbert sequences, a text
 summary for eyeballing) carrying the full configuration including the seed, so
 identical invocations produce byte-identical reports.  Exit status is 0 on
-success, 1 when a verification embedded in the run fails, 2 on usage errors.
+success, 1 when a verification embedded in the run fails or a computation
+fails (the error is named on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from .pfaffian import (
     random_skew_point,
     skew_determinant,
 )
-from .straighten import expansion_to_json, expand_product, straighten_rows
+from .straighten import (
+    BasisMismatchError,
+    SingularEvaluationMatrixError,
+    expansion_to_json,
+    expand_product,
+    straighten_rows,
+)
 
 OUT_DIR_ENV = "SMTORUS_OUT"
 
@@ -648,6 +655,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (BasisMismatchError, SingularEvaluationMatrixError) as exc:
+        # the input was fine; a computation or an embedded cross-check failed
+        print(f"smtorus: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except (
         weyl.WeylError,
         tableau.TableauError,

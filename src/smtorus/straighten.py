@@ -38,7 +38,7 @@ from .pfaffian import (
     sub_pfaffian,
 )
 from .tableau import Tableau, standard_chains
-from .weyl import IndexVector, bruhat_leq, minimal_coset_reps_alpha_n
+from .weyl import IndexVector, bruhat_leq, minimal_coset_reps_alpha_n, top_coset_rep
 
 __all__ = [
     "StraightenError",
@@ -383,7 +383,7 @@ class _Interpolator:
         self.qrows = minimal_coset_reps_alpha_n(n)
         self.row_index = {r: i for i, r in enumerate(self.qrows)}
         self.bsets = {r: _bset(r, n) for r in self.qrows}
-        self.basis = standard_chains(n, num_rows, content, self.qrows)
+        self.basis = standard_chains(n, num_rows, content, top_coset_rep(n))
         if not self.basis:
             raise BasisMismatchError("no standard monomials with the product's content")
         self.rng = Random(f"interp:{seed}:{n}:{num_rows}:{sorted(content.items())}")

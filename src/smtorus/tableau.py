@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .weyl import IndexVector, Weight, bruhat_leq, minimal_coset_reps_alpha_n
+from .weyl import IndexVector, Weight
 
 __all__ = [
     "TableauError",
@@ -195,109 +195,6 @@ def is_t_invariant(t: Tableau) -> bool:
     return all(c[j] == c[2 * n + 1 - j] for j in range(1, n + 1))
 
 
-class _ChainDP:
-    """Memoized feasibility counts for non-decreasing chains of coordinate rows.
-
-    The state is (index of the last chosen row, remaining counts of the values
-    1..n, rows still to choose); the counts of the mirrored values n+1..2n are
-    determined because every row uses exactly one value of each mirror pair.
-    """
-
-    def __init__(self, n, rows):
-        self.n = n
-        self.rows = sorted(rows)
-        m = len(self.rows)
-        self.masks = [sum(1 << (v - 1) for v in r) for r in self.rows]
-        self.succ = [
-            [j for j in range(i, m) if bruhat_leq(self.rows[i], self.rows[j])] for i in range(m)
-        ]
-        self.all = list(range(m))
-        # union of value masks reachable at or above each row
-        self.reach = [0] * m
-        for i in range(m):
-            acc = 0
-            for j in self.succ[i]:
-                acc |= self.masks[j]
-            self.reach[i] = acc
-        self.reach_all = 0
-        for mk in self.masks:
-            self.reach_all |= mk
-        self.lows = [tuple(v for v in r if v <= n) for r in self.rows]
-        self.highs = [tuple(2 * n + 1 - v for v in r if v > n) for r in self.rows]
-        self.memo: dict = {}
-
-    def _masks_for(self, low, left):
-        """(needed values, values forced into every remaining row) as bit masks."""
-        n = self.n
-        needed = 0
-        forced = 0
-        for t in range(1, n + 1):
-            c = low[t - 1]
-            if c:
-                needed |= 1 << (t - 1)
-                if c == left:
-                    forced |= 1 << (t - 1)
-            if c < left:
-                needed |= 1 << (2 * n - t)
-                if c == 0:
-                    forced |= 1 << (2 * n - t)
-        return needed, forced
-
-    def _step(self, j, low, left):
-        nl = list(low)
-        for t in self.lows[j]:
-            if nl[t - 1] == 0:
-                return None
-            nl[t - 1] -= 1
-        for t in self.highs[j]:
-            if left - nl[t - 1] <= 0:
-                return None
-        return tuple(nl)
-
-    def count(self, last, low, left) -> int:
-        if left == 0:
-            return 1
-        key = (last, low, left)
-        val = self.memo.get(key)
-        if val is not None:
-            return val
-        reach = self.reach[last] if last >= 0 else self.reach_all
-        needed, forced = self._masks_for(low, left)
-        total = 0
-        if not needed & ~reach:
-            cands = self.succ[last] if last >= 0 else self.all
-            masks = self.masks
-            for j in cands:
-                if forced & ~masks[j]:
-                    continue
-                nl = self._step(j, low, left)
-                if nl is not None:
-                    total += self.count(j, nl, left - 1)
-        self.memo[key] = total
-        return total
-
-    def walk(self, last, low, left, prefix, out):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        cands = self.succ[last] if last >= 0 else self.all
-        for j in cands:
-            nl = self._step(j, low, left)
-            if nl is not None and self.count(j, nl, left - 1) > 0:
-                prefix.append(self.rows[j])
-                self.walk(j, nl, left - 1, prefix, out)
-                prefix.pop()
-
-
-def _dp_inputs(n, num_rows, content, allowed_rows):
-    if num_rows == 0:
-        return None if any(content.values()) else "empty"
-    for t in range(1, n + 1):
-        if content.get(t, 0) + content.get(2 * n + 1 - t, 0) != num_rows:
-            return None
-    return _ChainDP(n, allowed_rows), tuple(content.get(t, 0) for t in range(1, n + 1))
-
-
 def _promotion_choices(blocks, h):
     """Per-block (even, odd) promotion counts summing to h."""
     out = []
@@ -355,7 +252,9 @@ class _ProfileDP:
     same negated prefix, ordered by dominance, with slots split by the parity
     of |S| (which must come out even).  Promotion choices per block enumerate
     the chains directly; a coarser state keeping only (prefix size, parities)
-    is memoized as a feasibility oracle to prune dead branches early.
+    is memoized as a feasibility oracle to prune dead branches early.  `count`
+    runs the same transfer on prefix sizes alone and never lists a chain.
+    Both memos live on the instance, so each query starts empty.
     """
 
     def __init__(self, n, num_rows, content, w):
@@ -370,6 +269,7 @@ class _ProfileDP:
             self.w_prefix.append(acc)
         self.h = [content.get(2 * n + 1 - t, 0) for t in range(1, n + 1)]
         self.memo: dict = {}
+        self.counts: dict = {}
 
     def _merged_feasible(self, t, blocks) -> bool:
         """Sound pruning oracle on the coarse (size, parity) projection."""
@@ -448,6 +348,89 @@ class _ProfileDP:
             if self._merged_feasible(t + 1, self._strip(merged)):
                 self._walk(t + 1, merged, out)
 
+    def count(self) -> int:
+        """Number of chains `walk` lists, counted without listing them.
+
+        The count is memoized on (t, ((len(S), e, o) for each block)), which
+        forgets the negated sets themselves.  That loses nothing: at step t a
+        promoted block gains t + 1, larger than every element already in any
+        negated set.  So among the pieces one step produces, a block's kept
+        piece sits below its own promoted piece and below every piece of the
+        next block, a promoted piece sits below the next block's promoted
+        piece, and a promoted piece of length a + 1 sits below the next
+        block's kept piece of length b exactly when a + 1 <= b.  Every
+        dominance test, now and at every later step, is a test on lengths.
+        Pieces from different blocks never have equal negated sets, so they
+        never merge: the key holds one entry per block of `walk`, and
+        adjacent blocks of equal length stay separate in it.
+        """
+        return self._count(0, ((0, self.num_rows, 0),))
+
+    def _count(self, t, blocks) -> int:
+        if t == self.n - 1:
+            return self._last_step(blocks)
+        key = (t, blocks)
+        val = self.counts.get(key)
+        if val is None:
+            val = sum(self._count(t + 1, nxt) for nxt in self._successors(t, blocks))
+            self.counts[key] = val
+        return val
+
+    def _last_step(self, blocks) -> int:
+        """Count (0 or 1) for the last step, which has one candidate choice.
+
+        Every |S| must come out even, so the last step promotes exactly the
+        odd slots.  The slots of a block share the parity of its length, so
+        blocks of equal length all promote or all keep and stay in order;
+        only the number of odd slots and the bound for X(w) remain to check.
+        """
+        bound = self.w_prefix[-1]
+        return int(
+            sum(o for _, _, o in blocks) == self.h[-1]
+            and all(a < bound for a, _, o in blocks if o)
+        )
+
+    def _successors(self, t, blocks):
+        """Length blocks after step t, built from valid promotion choices only.
+
+        A choice is cut off as soon as a kept piece would follow a longer
+        piece, or the blocks left cannot hold the promotions still owed.  That
+        capacity counts only blocks below the bound for X(w); lengths never
+        decrease along the blocks, so the blocks at the bound come last, and
+        the capacity check alone keeps every one of them from promoting.
+        """
+        bound = self.w_prefix[t]
+        cap = [0] * (len(blocks) + 1)
+        for i in range(len(blocks) - 1, -1, -1):
+            a, e, o = blocks[i]
+            cap[i] = cap[i + 1] + (e + o if a < bound else 0)
+        out = []
+        pieces = []
+
+        def go(i, remaining, prev):
+            if remaining > cap[i]:
+                return
+            if i == len(blocks):
+                out.append(tuple(pieces))
+                return
+            a, e, o = blocks[i]
+            most = min(e + o, remaining)
+            for pe in range(min(e, most) + 1):
+                for po in range(min(o, most - pe) + 1):
+                    kept = e + o - pe - po
+                    if kept and prev > a:
+                        continue
+                    depth = len(pieces)
+                    if kept:
+                        pieces.append((a, e - pe, o - po))
+                    if pe or po:
+                        pieces.append((a + 1, po, pe))
+                    go(i + 1, remaining - pe - po, a + 1 if pe or po else a)
+                    del pieces[depth:]
+
+        go(0, self.h[t], 0)
+        return out
+
 
 def _validated_content(n, num_rows, content):
     for t in range(1, n + 1):
@@ -457,8 +440,15 @@ def _validated_content(n, num_rows, content):
 
 
 def schubert_chain_count(n, num_rows, content, w) -> int:
-    """Number of chains of coordinate rows below w with the given value counts."""
-    return len(schubert_chains(n, num_rows, content, w))
+    """Number of chains of coordinate rows below w with the given value counts.
+
+    Counted by the memoized transfer walk, without listing the chains.
+    """
+    if num_rows == 0:
+        return 0 if any(content.values()) else 1
+    if not _validated_content(n, num_rows, content):
+        return 0
+    return _ProfileDP(n, num_rows, content, w).count()
 
 
 def schubert_chains(n, num_rows, content, w):
@@ -470,40 +460,15 @@ def schubert_chains(n, num_rows, content, w):
     return _ProfileDP(n, num_rows, content, w).walk()
 
 
-def _ideal_top(n, allowed_rows):
-    """The index w when allowed_rows is exactly every coordinate row below w."""
-    rows = list(allowed_rows)
-    if not rows:
-        return None
-    top = tuple(max(r[i] for r in rows) for i in range(n))
-    rowset = set(map(tuple, rows))
-    if top not in rowset or not all(bruhat_leq(r, top) for r in rowset):
-        return None
-    below = sum(1 for r in minimal_coset_reps_alpha_n(n) if bruhat_leq(r, top))
-    return top if below == len(rowset) else None
-
-
-def standard_chains(n, num_rows, content, allowed_rows):
-    """All non-decreasing chains of the allowed rows with the given value counts.
+def standard_chains(n, num_rows, content, w):
+    """All chains of coordinate rows below the index w with the given value counts.
 
     `content` maps each value 1..2n to its required number of occurrences; the
     counts of a mirror pair must sum to `num_rows` for a chain to exist.  The
-    chains are produced in lexicographic order.  Row sets forming a full lower
-    ideal go through the profile transfer walk; arbitrary sets fall back to a
-    feasibility-guided search over rows.
+    chains are produced in lexicographic order; pass ``top_coset_rep(n)`` as w
+    for the whole space.
     """
-    top = _ideal_top(n, allowed_rows)
-    if top is not None:
-        return schubert_chains(n, num_rows, content, top)
-    setup = _dp_inputs(n, num_rows, content, allowed_rows)
-    if setup is None:
-        return []
-    if setup == "empty":
-        return [()]
-    dp, low = setup
-    out: list = []
-    dp.walk(-1, low, num_rows, [], out)
-    return out
+    return schubert_chains(n, num_rows, content, w)
 
 
 def enumerate_basis_omega_n(n, w, k) -> list[Tableau]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from smtorus import straighten
 from smtorus.cli import main
 
 
@@ -156,3 +157,40 @@ def test_invalid_values_exit_2(capsys):
     assert "smtorus:" in capsys.readouterr().err
     assert main(["straighten", "--n", "4", "--rows", "1,2,3,5;1,2,3,4"]) == 2
     assert main(["relations", "--n", "4", "--w", "5,6,7,8", "--degree", "1"]) == 2
+
+
+def test_route_disagreement_exits_1(tmp_path, monkeypatch, capsys):
+    """A failed interpolation cross-check is a failed run, not a usage error."""
+    real = straighten.straighten_rows
+
+    def skewed(rows, n, **kwargs):
+        exp = dict(real(rows, n, **kwargs))
+        key = next(iter(exp))
+        exp[key] += 1
+        return exp
+
+    monkeypatch.setattr(straighten, "straighten_rows", skewed)
+    out = tmp_path / "report.json"
+    code = main([
+        "check-generation", "--n", "4", "--w", "5,6,7,8", "--max-gen-degree", "1",
+        "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "BasisMismatchError" in err and "routes disagree" in err
+    assert not out.exists()
+
+
+def test_singular_evaluation_matrix_exits_1(tmp_path, monkeypatch, capsys):
+    def singular(rows, n, **kwargs):
+        raise straighten.SingularEvaluationMatrixError("singular evaluation matrix")
+
+    monkeypatch.setattr(straighten, "expand_by_interpolation", singular)
+    out = tmp_path / "report.json"
+    code = main([
+        "check-generation", "--n", "4", "--w", "5,6,7,8", "--max-gen-degree", "1",
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert "SingularEvaluationMatrixError" in capsys.readouterr().err
+    assert not out.exists()

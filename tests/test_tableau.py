@@ -17,6 +17,7 @@ from smtorus.tableau import (
     parse_tableau,
     format_tableau,
     schubert_chain_count,
+    schubert_chains,
     standard_chains,
     tableau_from_json,
     tableau_to_json,
@@ -103,31 +104,113 @@ def test_counts_monotone_along_family_lattice():
         assert all(a <= b for a, b in zip(dims[lo], dims[hi])), (lo, hi)
 
 
+def _uniform(n, k):
+    return {v: k for v in range(1, 2 * n + 1)}
+
+
+def _brute_force_count(n, w, k):
+    """Torus-invariant standard tableaux below w, by checking every row multiset."""
+    from itertools import combinations_with_replacement
+
+    allowed = sorted(r for r in weyl.minimal_coset_reps_alpha_n(n) if weyl.bruhat_leq(r, w))
+    count = 0
+    for rows in combinations_with_replacement(allowed, 2 * k):
+        t = grid_tableau(n, rows)
+        if is_standard(t) and is_t_invariant(t):
+            count += 1
+    return count
+
+
 def test_profile_count_matches_enumeration():
-    reps = weyl.minimal_coset_reps_alpha_n(4)
-    for w in reps:
-        allowed = [r for r in reps if weyl.bruhat_leq(r, w)]
+    """Counting, listing and brute force agree on every rank-4 index."""
+    for w in weyl.minimal_coset_reps_alpha_n(4):
         for k in (1, 2, 3):
-            content = {v: k for v in range(1, 9)}
-            assert schubert_chain_count(4, 2 * k, content, w) == len(
-                standard_chains(4, 2 * k, content, allowed)
-            )
+            counted = schubert_chain_count(4, 2 * k, _uniform(4, k), w)
+            assert counted == len(standard_chains(4, 2 * k, _uniform(4, k), w))
+            assert counted == _brute_force_count(4, w, k), (w, k)
+
+
+def test_count_matches_listing_ranks_3_to_7():
+    cases = 0
+    for n in range(3, 8):
+        for w in weyl.minimal_coset_reps_alpha_n(n):
+            for k in (1, 2) if n == 7 else (1, 2, 3):
+                content = _uniform(n, k)
+                assert schubert_chain_count(n, 2 * k, content, w) == len(
+                    schubert_chains(n, 2 * k, content, w)
+                ), (n, w, k)
+                cases += 1
+    assert cases == 308
+
+
+def test_count_matches_listing_on_rank8_family():
+    for i in range(1, 7):
+        w = families.family_index(i, 2)
+        for k in (1, 2, 3, 4):
+            content = _uniform(8, k)
+            assert schubert_chain_count(8, 2 * k, content, w) == len(
+                schubert_chains(8, 2 * k, content, w)
+            ), (i, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(weyl.minimal_coset_reps_alpha_n(5)), min_size=1, max_size=5),
+    st.sampled_from(weyl.minimal_coset_reps_alpha_n(5)),
+)
+def test_count_matches_listing_for_any_content(rows, w):
+    content = {v: 0 for v in range(1, 11)}
+    for row in rows:
+        for v in row:
+            content[v] += 1
+    assert schubert_chain_count(5, len(rows), content, w) == len(
+        schubert_chains(5, len(rows), content, w)
+    )
+
+
+def test_count_matches_listing_below_any_sign_vector():
+    """Bounds from vectors with an odd number of negations reach the last step."""
+    from itertools import product
+
+    for signs in product((False, True), repeat=5):
+        w = tuple(sorted(11 - t if neg else t for t, neg in zip(range(1, 6), signs)))
+        for k in (1, 2):
+            content = _uniform(5, k)
+            assert schubert_chain_count(5, 2 * k, content, w) == len(
+                schubert_chains(5, 2 * k, content, w)
+            ), (w, k)
+
+
+def test_count_without_rows():
+    assert schubert_chain_count(4, 0, {}, (5, 6, 7, 8)) == 1
+    assert schubert_chain_count(4, 0, {1: 1}, (5, 6, 7, 8)) == 0
+    assert schubert_chain_count(4, 2, {1: 2}, (5, 6, 7, 8)) == 0
 
 
 def test_brute_force_hilbert_oracle_rank4():
     """Unpruned brute force over row multisets agrees with the enumerator."""
-    from itertools import combinations_with_replacement
-
-    reps = weyl.minimal_coset_reps_alpha_n(4)
     for w in ((5, 6, 7, 8), (3, 4, 7, 8), (2, 4, 6, 8)):
-        allowed = [r for r in reps if weyl.bruhat_leq(r, w)]
         for k in (1, 2, 3):
-            brute = 0
-            for rows in combinations_with_replacement(allowed, 2 * k):
-                t = grid_tableau(4, sorted(rows))
-                if is_standard(t) and is_t_invariant(t):
-                    brute += 1
-            assert brute == len(enumerate_basis_omega_n(4, w, k))
+            assert _brute_force_count(4, w, k) == len(enumerate_basis_omega_n(4, w, k))
+
+
+def test_brute_force_hilbert_oracle_rank5():
+    for w in weyl.minimal_coset_reps_alpha_n(5):
+        for k in (1, 2):
+            brute = _brute_force_count(5, w, k)
+            assert brute == len(enumerate_basis_omega_n(5, w, k)), (w, k)
+            assert brute == schubert_chain_count(5, 2 * k, _uniform(5, k), w), (w, k)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [(2, 4, 7, 8, 10, 12), (2, 6, 8, 9, 10, 12), (3, 6, 8, 9, 11, 12), (4, 6, 8, 10, 11, 12)],
+)
+def test_brute_force_hilbert_oracle_rank6(w):
+    for k in (1, 2):
+        brute = _brute_force_count(6, w, k)
+        assert brute == len(enumerate_basis_omega_n(6, w, k))
+        assert brute == schubert_chain_count(6, 2 * k, _uniform(6, k), w)
 
 
 def test_enumerate_omega_1_examples():
