@@ -14,15 +14,12 @@ import numpy as np
 
 __all__ = [
     "Span",
-    "solve_square",
     "kernel_of_columns",
     "frac_det",
     "PRIMES31",
-    "solve_mod_p",
     "matvec_mod",
     "crt",
     "symmetric_mod",
-    "rational_reconstruct",
 ]
 
 PRIMES31 = (2147483647, 2147483629, 2147483587)
@@ -70,36 +67,6 @@ class Span:
                 self.pivots[col] = row
                 return True
         return False
-
-
-def solve_square(matrix, rhs):
-    """Solve A x = b exactly; returns None when A is singular."""
-    m = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(matrix, rhs)]
-    cols = len(a[0]) - 1
-    if any(len(row) != cols + 1 for row in a):
-        raise ValueError("ragged matrix")
-    row_at = 0
-    piv_cols = []
-    for col in range(cols):
-        piv = next((r for r in range(row_at, m) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[row_at], a[piv] = a[piv], a[row_at]
-        inv = Fraction(1) / a[row_at][col]
-        a[row_at] = [x * inv for x in a[row_at]]
-        for r in range(m):
-            if r != row_at and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[row_at])]
-        piv_cols.append(col)
-        row_at += 1
-    if any(any(a[r][:cols]) or a[r][cols] for r in range(row_at, m)):
-        return None
-    sol = [Fraction(0)] * cols
-    for r, col in enumerate(piv_cols):
-        sol[col] = a[r][cols]
-    return sol
 
 
 def kernel_of_columns(vectors):
@@ -155,29 +122,15 @@ def frac_det(matrix) -> Fraction:
     return det
 
 
-def solve_mod_p(matrix, rhs, p):
-    """Solve A x = b over GF(p); returns an int64 array or None when singular."""
-    m = len(matrix)
-    a = np.zeros((m, m + 1), dtype=np.int64)
-    a[:, :m] = np.asarray(matrix, dtype=np.int64) % p
-    a[:, m] = np.asarray(rhs, dtype=np.int64) % p
-    for col in range(m):
-        nz = np.nonzero(a[col:, col])[0]
-        if len(nz) == 0:
-            return None
-        piv = col + int(nz[0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        inv = pow(int(a[col, col]), p - 2, p)
-        a[col] = (a[col] * inv) % p
-        coeffs = a[:, col].copy()
-        coeffs[col] = 0
-        a = (a - np.outer(coeffs, a[col])) % p
-    return a[:, m]
-
-
 def matvec_mod(mat, vec, p):
-    """mat @ vec mod p without int64 overflow (16-bit limb split of vec)."""
+    """mat @ vec mod p without int64 overflow (16-bit limb split of vec).
+
+    With entries below p <= 2^32, both limbs are below 2^16, so each limb
+    product sums to less than columns * p * 2^16, and recombining adds one
+    more p * 2^16.
+    """
+    if p > 1 << 32 or (mat.shape[1] + 1) * p << 16 >= 1 << 63:
+        raise OverflowError(f"{mat.shape[1]} columns mod {p} overflow int64")
     vec = np.asarray(vec, dtype=np.int64) % p
     lo = vec & 0xFFFF
     hi = vec >> 16
@@ -193,22 +146,3 @@ def crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> tuple[int, int]:
 def symmetric_mod(a: int, m: int) -> int:
     a %= m
     return a - m if a > m // 2 else a
-
-
-def rational_reconstruct(a: int, m: int):
-    """Recover x/y with x^2, y^2 <= m/2 from a = x/y mod m, or None."""
-    a %= m
-    bound = int((m // 2) ** 0.5)
-    r0, r1 = m, a
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or s1 == 0:
-        return None
-    from math import gcd
-
-    if gcd(r1, abs(s1)) != 1:
-        return None
-    return Fraction(r1, s1) if s1 > 0 else Fraction(-r1, -s1)

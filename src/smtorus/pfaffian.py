@@ -120,26 +120,32 @@ def sub_pfaffian(point: SkewPoint, members) -> Fraction:
     s = tuple(sorted(members))
     if any(not 1 <= v <= point.n for v in s) or len(set(s)) != len(s):
         raise PfaffianError(f"subset {s} not within 1..{point.n}")
-    return _pf(point, s)
+    return Fraction(_pf(point.upper, s, point._cache))
 
 
-def _pf(point: SkewPoint, s: Subset) -> Fraction:
-    if len(s) % 2 == 1:
-        return Fraction(0)
-    if not s:
-        return Fraction(1)
-    cached = point._cache.get(s)
-    if cached is not None:
-        return cached
-    first, rest = s[0], s[1:]
-    total = Fraction(0)
+def _pf(upper, members: Subset, cache: dict, p: int | None = None):
+    """Pfaffian on the sorted `members` by first-row expansion, memoized in `cache`.
+
+    `upper` maps (i, j) with i < j to the entry.  With a modulus p the
+    entries are residues mod p and so is the value.
+    """
+    if len(members) % 2:
+        return 0
+    if not members:
+        return 1
+    val = cache.get(members)
+    if val is not None:
+        return val
+    first, rest = members[0], members[1:]
+    total = 0
     for t, j in enumerate(rest, start=2):
-        a = point.entry(first, j)
+        a = upper.get((first, j))
         if a:
-            sub = tuple(v for v in rest if v != j)
-            term = a * _pf(point, sub)
+            term = a * _pf(upper, tuple(v for v in rest if v != j), cache, p)
             total += term if t % 2 == 0 else -term
-    point._cache[s] = total
+    if p is not None:
+        total %= p
+    cache[members] = total
     return total
 
 
@@ -149,7 +155,7 @@ def pfaffian(point: SkewPoint) -> Fraction:
     >>> pfaffian(skew_point(2, {(1, 2): 7}))
     Fraction(7, 1)
     """
-    return _pf(point, tuple(range(1, point.n + 1)))
+    return Fraction(_pf(point.upper, tuple(range(1, point.n + 1)), point._cache))
 
 
 def matching_sum_pfaffian(point: SkewPoint, members=None) -> Fraction:

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import linalg
 from .pfaffian import (
+    _pf,
     dual_pair,
     index_from_bset,
     exchange_relation,
@@ -349,27 +350,6 @@ def evaluate_expansion(exp: Expansion, point) -> Fraction:
     return sum((c * evaluate_rows(rows, point) for rows, c in exp.items()), Fraction(0))
 
 
-def _pf_int_mod(entries, members, p, cache):
-    if len(members) % 2:
-        return 0
-    if not members:
-        return 1
-    val = cache.get(members)
-    if val is not None:
-        return val
-    first, rest = members[0], members[1:]
-    total = 0
-    for t, j in enumerate(rest, start=2):
-        a = entries.get((first, j), 0)
-        if a:
-            sub = tuple(v for v in rest if v != j)
-            term = a * _pf_int_mod(entries, sub, p, cache) % p
-            total = (total + term) if t % 2 == 0 else (total - term)
-    total %= p
-    cache[members] = total
-    return total
-
-
 _EXACT_LIMIT = 64
 
 
@@ -413,7 +393,7 @@ class _Interpolator:
     def _q_vector_mod(self, upper, p):
         entries = {k: v % p for k, v in upper.items()}
         cache: dict = {}
-        return [_pf_int_mod(entries, self.bsets[r], p, cache) for r in self.qrows]
+        return [_pf(entries, self.bsets[r], cache, p) for r in self.qrows]
 
     def _build(self) -> bool:
         m = len(self.basis)
@@ -529,6 +509,8 @@ def _frac_inverse(matrix):
 
 
 def _mod_inverse_matrix(mat, p):
+    if p * p >= 1 << 63:
+        raise OverflowError(f"products mod {p} overflow int64")
     m = mat.shape[0]
     a = np.concatenate([mat % p, np.eye(m, dtype=np.int64)], axis=1)
     for col in range(m):

@@ -195,54 +195,6 @@ def is_t_invariant(t: Tableau) -> bool:
     return all(c[j] == c[2 * n + 1 - j] for j in range(1, n + 1))
 
 
-def _promotion_choices(blocks, h):
-    """Per-block (even, odd) promotion counts summing to h."""
-    out = []
-
-    def go(i, remaining, acc):
-        if i == len(blocks):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        _, e, o = blocks[i]
-        for pe in range(min(e, remaining) + 1):
-            for po in range(min(o, remaining - pe) + 1):
-                acc.append((pe, po))
-                go(i + 1, remaining - pe - po, acc)
-                acc.pop()
-
-    go(0, h, [])
-    return out
-
-
-def _apply_promotion(blocks, choice):
-    """Promoted slots flip parity and move up one profile step; merge equal steps."""
-    merged = []
-
-    def put(a, e, o):
-        if merged and merged[-1][0] == a:
-            _, pe, po = merged.pop()
-            merged.append((a, pe + e, po + o))
-        else:
-            merged.append((a, e, o))
-
-    for (a, e, o), (pe, po) in zip(blocks, choice):
-        if e - pe or o - po:
-            put(a, e - pe, o - po)
-        if pe or po:
-            put(a + 1, po, pe)
-    return tuple(merged)
-
-
-def _prefix_leq(p, q) -> bool:
-    """Profile dominance of negated prefixes: row(p) <= row(q) componentwise.
-
-    Holds iff p has no more elements than q and q's i-th smallest element is at
-    most p's, i.e. q negates earlier and more often.
-    """
-    return len(p) <= len(q) and all(b <= a for a, b in zip(p, q))
-
-
 class _ProfileDP:
     """Transfer walk over mirror-pair positions for chains below a fixed index.
 
@@ -250,11 +202,12 @@ class _ProfileDP:
     and rows compare componentwise exactly when their profiles do.  Processing
     positions t = 1..n, the state is the list of blocks of rows sharing the
     same negated prefix, ordered by dominance, with slots split by the parity
-    of |S| (which must come out even).  Promotion choices per block enumerate
-    the chains directly; a coarser state keeping only (prefix size, parities)
-    is memoized as a feasibility oracle to prune dead branches early.  `count`
-    runs the same transfer on prefix sizes alone and never lists a chain.
-    Both memos live on the instance, so each query starts empty.
+    of |S| (which must come out even).  One successor generator serves both
+    walks: `count` runs it on block lengths alone and never lists a chain,
+    and `walk` runs it on the same lengths, then gives each piece its negated
+    set back.  The exact count prunes the listing, so every branch `walk`
+    enters ends in at least one chain.  The count memo lives on the instance,
+    so each query starts empty.
     """
 
     def __init__(self, n, num_rows, content, w):
@@ -268,25 +221,7 @@ class _ProfileDP:
                 acc += 1
             self.w_prefix.append(acc)
         self.h = [content.get(2 * n + 1 - t, 0) for t in range(1, n + 1)]
-        self.memo: dict = {}
         self.counts: dict = {}
-
-    def _merged_feasible(self, t, blocks) -> bool:
-        """Sound pruning oracle on the coarse (size, parity) projection."""
-        if t == self.n:
-            return all(o == 0 for _, _, o in blocks)
-        key = (t, blocks)
-        val = self.memo.get(key)
-        if val is None:
-            val = False
-            bound = self.w_prefix[t]
-            for choice in _promotion_choices(blocks, self.h[t]):
-                newb = _apply_promotion(blocks, choice)
-                if newb[-1][0] <= bound and self._merged_feasible(t + 1, newb):
-                    val = True
-                    break
-            self.memo[key] = val
-        return val
 
     def _row(self, negated):
         neg = set(negated)
@@ -302,51 +237,39 @@ class _ProfileDP:
         self._walk(0, (((), self.num_rows, 0),), out)
         return sorted(out)
 
-    def _strip(self, pblocks):
-        merged = []
-        for neg, e, o in pblocks:
-            a = len(neg)
-            if merged and merged[-1][0] == a:
-                _, pe, po = merged.pop()
-                merged.append((a, pe + e, po + o))
-            else:
-                merged.append((a, e, o))
-        return tuple(merged)
-
-    def _walk(self, t, pblocks, out):
+    def _walk(self, t, blocks, out):
         if t == self.n:
-            if all(o == 0 for _, _, o in pblocks):
-                chain = []
-                for neg, e, o in pblocks:
-                    chain += [self._row(neg)] * e
-                out.append(tuple(chain))
+            chain = []
+            for neg, e, _ in blocks:
+                chain += [self._row(neg)] * e
+            out.append(tuple(chain))
             return
-        bound = self.w_prefix[t]
-        stripped = tuple((len(neg), e, o) for neg, e, o in pblocks)
-        for choice in _promotion_choices(stripped, self.h[t]):
-            newp = []
-            ok = True
-            for (neg, e, o), (pe, po) in zip(pblocks, choice):
-                if e - pe or o - po:
-                    newp.append((neg, e - pe, o - po))
-                if pe or po:
-                    newp.append((neg + (t + 1,), po, pe))
-            for left, right in zip(newp, newp[1:]):
-                if not _prefix_leq(left[0], right[0]):
-                    ok = False
-                    break
-            if not ok or len(newp[-1][0]) > bound:
-                continue
-            merged = []
-            for neg, e, o in newp:
-                if merged and merged[-1][0] == neg:
-                    _, pe2, po2 = merged.pop()
-                    merged.append((neg, pe2 + e, po2 + o))
-                else:
-                    merged.append((neg, e, o))
-            merged = tuple(merged)
-            if self._merged_feasible(t + 1, self._strip(merged)):
-                self._walk(t + 1, merged, out)
+        lens = tuple((len(neg), e, o) for neg, e, o in blocks)
+        for nxt in self._successors(t, lens):
+            if t + 1 < self.n:
+                live = self._count(t + 1, nxt)
+            else:
+                live = not any(o for _, _, o in nxt)
+            if live:
+                self._walk(t + 1, self._sets(t, blocks, nxt), out)
+
+    @staticmethod
+    def _sets(t, blocks, pieces):
+        """Give each length piece after step t the negated set of its block.
+
+        A block's pieces come in order and use up its e + o slots; its kept
+        piece has the block's length and its promoted piece one more, so the
+        length alone tells which of them gained t + 1.
+        """
+        out = []
+        it = iter(pieces)
+        for neg, e, o in blocks:
+            left = e + o
+            while left:
+                a, pe, po = next(it)
+                out.append((neg if a == len(neg) else neg + (t + 1,), pe, po))
+                left -= pe + po
+        return tuple(out)
 
     def count(self) -> int:
         """Number of chains `walk` lists, counted without listing them.

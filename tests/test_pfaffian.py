@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smtorus.linalg import PRIMES31
 from smtorus.pfaffian import (
+    _pf,
     AsymmetricDualPairError,
     EvenCardinalityError,
     NotFullFlagIndexError,
@@ -71,6 +73,25 @@ def test_matching_sum_oracle_agreement():
             assert matching_sum_pfaffian(pt) == pfaffian(pt)
             sub = tuple(sorted(rng.sample(range(1, n + 1), n - n % 2)))
             assert matching_sum_pfaffian(pt, sub) == sub_pfaffian(pt, sub)
+
+
+@pytest.mark.parametrize("p", [PRIMES31[0], 101])
+def test_mod_p_pfaffian_matches_oracle(p):
+    """The shared recursion mod p against the matching sum reduced mod p."""
+    rng = Random(5)
+    for n in (6, 8):
+        for _ in range(3):
+            upper = {
+                (i, j): rng.randint(-(10**12), 10**12)
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+            }
+            pt = skew_point(n, upper)
+            residues = {key: v % p for key, v in upper.items()}
+            subsets = [s for size in range(0, n + 1, 2) for s in combinations(range(1, n + 1), size)]
+            cache: dict = {}
+            for sub in rng.sample(subsets, 12) + [tuple(range(1, n + 1))]:
+                assert _pf(residues, sub, cache, p) == matching_sum_pfaffian(pt, sub) % p
 
 
 @settings(max_examples=30, deadline=None)

@@ -108,26 +108,41 @@ def _uniform(n, k):
     return {v: k for v in range(1, 2 * n + 1)}
 
 
-def _brute_force_count(n, w, k):
-    """Torus-invariant standard tableaux below w, by checking every row multiset."""
-    from itertools import combinations_with_replacement
+def _brute_force_chains(n, w, num_rows, content):
+    """Chains below w with the given content, by checking every row multiset.
 
+    Multisets are grown in lex order and cut off only when they overshoot the
+    content; standardness is checked on each finished multiset.
+    """
     allowed = sorted(r for r in weyl.minimal_coset_reps_alpha_n(n) if weyl.bruhat_leq(r, w))
-    count = 0
-    for rows in combinations_with_replacement(allowed, 2 * k):
-        t = grid_tableau(n, rows)
-        if is_standard(t) and is_t_invariant(t):
-            count += 1
-    return count
+    left = {v: content.get(v, 0) for v in range(1, 2 * n + 1)}
+    out = []
+
+    def go(start, rows):
+        if len(rows) == num_rows:
+            if not any(left.values()) and is_standard(grid_tableau(n, rows)):
+                out.append(tuple(rows))
+            return
+        for i in range(start, len(allowed)):
+            row = allowed[i]
+            if all(left[v] for v in row):
+                for v in row:
+                    left[v] -= 1
+                go(i, rows + [row])
+                for v in row:
+                    left[v] += 1
+
+    go(0, [])
+    return sorted(out)
 
 
 def test_profile_count_matches_enumeration():
     """Counting, listing and brute force agree on every rank-4 index."""
     for w in weyl.minimal_coset_reps_alpha_n(4):
         for k in (1, 2, 3):
-            counted = schubert_chain_count(4, 2 * k, _uniform(4, k), w)
-            assert counted == len(standard_chains(4, 2 * k, _uniform(4, k), w))
-            assert counted == _brute_force_count(4, w, k), (w, k)
+            listed = standard_chains(4, 2 * k, _uniform(4, k), w)
+            assert listed == _brute_force_chains(4, w, 2 * k, _uniform(4, k)), (w, k)
+            assert schubert_chain_count(4, 2 * k, _uniform(4, k), w) == len(listed)
 
 
 def test_count_matches_listing_ranks_3_to_7():
@@ -163,9 +178,9 @@ def test_count_matches_listing_for_any_content(rows, w):
     for row in rows:
         for v in row:
             content[v] += 1
-    assert schubert_chain_count(5, len(rows), content, w) == len(
-        schubert_chains(5, len(rows), content, w)
-    )
+    listed = schubert_chains(5, len(rows), content, w)
+    assert listed == _brute_force_chains(5, w, len(rows), content)
+    assert schubert_chain_count(5, len(rows), content, w) == len(listed)
 
 
 def test_count_matches_listing_below_any_sign_vector():
@@ -187,19 +202,23 @@ def test_count_without_rows():
     assert schubert_chain_count(4, 2, {1: 2}, (5, 6, 7, 8)) == 0
 
 
+def _basis_rows(n, w, k):
+    return [t.rows for t in enumerate_basis_omega_n(n, w, k)]
+
+
 def test_brute_force_hilbert_oracle_rank4():
-    """Unpruned brute force over row multisets agrees with the enumerator."""
+    """Brute force over row multisets agrees with the enumerator."""
     for w in ((5, 6, 7, 8), (3, 4, 7, 8), (2, 4, 6, 8)):
         for k in (1, 2, 3):
-            assert _brute_force_count(4, w, k) == len(enumerate_basis_omega_n(4, w, k))
+            assert _basis_rows(4, w, k) == _brute_force_chains(4, w, 2 * k, _uniform(4, k))
 
 
 def test_brute_force_hilbert_oracle_rank5():
     for w in weyl.minimal_coset_reps_alpha_n(5):
         for k in (1, 2):
-            brute = _brute_force_count(5, w, k)
-            assert brute == len(enumerate_basis_omega_n(5, w, k)), (w, k)
-            assert brute == schubert_chain_count(5, 2 * k, _uniform(5, k), w), (w, k)
+            brute = _brute_force_chains(5, w, 2 * k, _uniform(5, k))
+            assert brute == _basis_rows(5, w, k), (w, k)
+            assert len(brute) == schubert_chain_count(5, 2 * k, _uniform(5, k), w), (w, k)
 
 
 @pytest.mark.parametrize(
@@ -208,9 +227,21 @@ def test_brute_force_hilbert_oracle_rank5():
 )
 def test_brute_force_hilbert_oracle_rank6(w):
     for k in (1, 2):
-        brute = _brute_force_count(6, w, k)
-        assert brute == len(enumerate_basis_omega_n(6, w, k))
-        assert brute == schubert_chain_count(6, 2 * k, _uniform(6, k), w)
+        brute = _brute_force_chains(6, w, 2 * k, _uniform(6, k))
+        assert brute == _basis_rows(6, w, k)
+        assert len(brute) == schubert_chain_count(6, 2 * k, _uniform(6, k), w)
+
+
+def test_w6_basis_at_rank8_degree8():
+    """The largest family member's degree-8 basis: 1,897 valid, distinct chains."""
+    w = families.family_index(6, 2)
+    chains = schubert_chains(8, 16, _uniform(8, 8), w)
+    assert len(chains) == len(set(chains)) == 1897
+    assert chains == sorted(chains)
+    for chain in chains:
+        t = grid_tableau(8, chain)
+        assert is_shape_standard(t) and is_t_invariant(t)
+    assert all(weyl.bruhat_leq(row, w) for row in {row for chain in chains for row in chain})
 
 
 def test_enumerate_omega_1_examples():
