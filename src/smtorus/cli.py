@@ -15,11 +15,9 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from random import Random
 
 from . import families, rewrite, ring, tableau, weyl
-from .linalg import Span
 from .pfaffian import (
     evaluate_relation,
     exchange_relation,
@@ -419,25 +417,17 @@ def _preset_spin8n(seed: int, n: int) -> dict:
            dim=len(basis1))
 
     basis2 = tableau.enumerate_basis_omega_n(rank, w6, 2)
-    index2 = {t.rows: i for i, t in enumerate(basis2)}
-    span = Span(len(basis2))
-    for a, b in combinations_with_replacement(basis1, 2):
-        exp = expand_product([a, b], w=w6, seed=seed)
-        vec = [Fraction(0)] * len(basis2)
-        for rows, c in exp.items():
-            vec[index2[rows]] = c
-        span.add(vec)
-    outside = [t.rows for t in basis2 if not span.contains(
-        [Fraction(1) if t.rows == u.rows else Fraction(0) for u in basis2])]
+    rel = ring.relations_in_degree(spec6, 2, seed=seed)
+    gen1 = ring.check_generation(spec6, 1, seed=seed)
+    outside = [t.rows for d, t in rel.generators if d == 2]
     _claim(claims, "exactly the four tableaux Y_1..Y_4 lie outside degree-1 products",
            sorted(outside) == sorted(Y[j].rows for j in range(1, 5)),
-           product_span=span.dim, dim=len(basis2))
+           product_span=gen1.per_degree[2][2], dim=len(basis2))
     _claim(claims, "no Y splits off an invariant degree-1 subtableau",
            all(tableau.find_factor(Y[j], 1) is None for j in range(1, 5)))
     _claim(claims, "no Z splits off an invariant subtableau of degree at most 2",
            all(tableau.find_factor(Z[l], 2) is None for l in (1, 2)))
 
-    rel = ring.relations_in_degree(spec6, 2, seed=seed)
     gen_rows = {t.rows: i for i, (_, t) in enumerate(rel.generators)}
 
     def rel_vector(terms):
@@ -462,7 +452,6 @@ def _preset_spin8n(seed: int, n: int) -> dict:
     _claim(claims, "X_2 Y_1 = Z_1 and X_2 Y_2 = Z_2 on the largest member",
            prod_xy1 == {Z[1].rows: Fraction(1)} and prod_xy2 == {Z[2].rows: Fraction(1)})
 
-    gen1 = ring.check_generation(spec6, 1, seed=seed)
     _claim(claims, "degree-1 elements do not generate (failure at degree 2)",
            not gen1.generated and gen1.per_degree[2][3] is False,
            per_degree=list(gen1.per_degree))

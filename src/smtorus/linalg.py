@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals, with a modular fast path.
 
-Rank and kernel computations that feed theorem-level claims run over
-``fractions.Fraction``.  Large interpolation solves may run modulo a few
-31-bit primes and reconstruct; callers are expected to verify reconstructed
-answers exactly afterwards.
+``Span`` is the package's one exact elimination: it keeps a row space over
+``fractions.Fraction`` in fully reduced row echelon form, and every rational
+rank, membership test, kernel, determinant, inverse and content-class solve
+adds rows to a ``Span`` and reads the answer off its pivot rows.  Large
+interpolation solves instead run modulo 31-bit primes on int64 numpy arrays,
+whose word-size bounds are checked here; callers verify reconstructed answers
+exactly afterwards.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ __all__ = [
     "Span",
     "kernel_of_columns",
     "frac_det",
+    "frac_inverse",
     "PRIMES31",
     "matvec_mod",
+    "inverse_mod",
     "crt",
     "symmetric_mod",
 ]
@@ -26,7 +31,12 @@ PRIMES31 = (2147483647, 2147483629, 2147483587)
 
 
 class Span:
-    """Incrementally maintained row space over the rationals."""
+    """Incrementally maintained row space over the rationals.
+
+    ``pivots`` maps each pivot column to its row of the reduced row echelon
+    form: the row is 1 at its own column and 0 at every other pivot column.
+    The dict keeps the columns in the order their rows were added.
+    """
 
     def __init__(self, length: int):
         self.length = length
@@ -41,85 +51,86 @@ class Span:
         for col, row in self.pivots.items():
             c = v[col]
             if c:
-                for j in range(self.length):
-                    v[j] -= c * row[j]
+                v = [a - c * b for a, b in zip(v, row)]
         return v
-
-    def residual(self, vec):
-        """The part of vec outside the current span (coefficients not tracked)."""
-        return self._reduce(vec)
 
     def contains(self, vec) -> bool:
         return not any(self._reduce(vec))
 
-    def add(self, vec) -> bool:
-        """Insert vec; returns True when it enlarged the span."""
+    def add(self, vec) -> Fraction:
+        """Insert vec; returns its pivot entry before normalizing.
+
+        The entry is nonzero exactly when vec enlarged the span, and
+        ``Fraction(0)`` otherwise.
+        """
         v = self._reduce(vec)
-        for col in range(self.length):
-            if v[col]:
-                inv = Fraction(1) / v[col]
-                row = [x * inv for x in v]
-                for other in self.pivots.values():
-                    c = other[col]
-                    if c:
-                        for j in range(self.length):
-                            other[j] -= c * row[j]
-                self.pivots[col] = row
-                return True
-        return False
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            return Fraction(0)
+        pivot = v[col]
+        row = [x / pivot for x in v]
+        for j, other in self.pivots.items():
+            c = other[col]
+            if c:
+                self.pivots[j] = [a - c * b for a, b in zip(other, row)]
+        self.pivots[col] = row
+        return pivot
 
 
 def kernel_of_columns(vectors):
-    """Basis of {c : sum_i c_i v_i = 0} for column vectors v_i of equal length."""
+    """Basis of {c : sum_i c_i v_i = 0} for column vectors v_i of equal length.
+
+    One basis vector per free column of the reduced echelon form of the
+    matrix whose columns are the v_i, in column order.
+    """
     m = len(vectors)
-    if m == 0:
-        return []
-    length = len(vectors[0])
-    a = [[Fraction(vectors[i][j]) for i in range(m)] for j in range(length)]
-    pivot_of_col: dict[int, int] = {}
-    row_at = 0
-    for col in range(m):
-        piv = next((r for r in range(row_at, length) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row_at], a[piv] = a[piv], a[row_at]
-        inv = Fraction(1) / a[row_at][col]
-        a[row_at] = [x * inv for x in a[row_at]]
-        for r in range(length):
-            if r != row_at and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[row_at])]
-        pivot_of_col[col] = row_at
-        row_at += 1
+    span = Span(m)
+    for row in zip(*vectors):
+        span.add(row)
     basis = []
-    free = [c for c in range(m) if c not in pivot_of_col]
-    for fc in free:
+    for free in range(m):
+        if free in span.pivots:
+            continue
         vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
-        for col, r in pivot_of_col.items():
-            vec[col] = -a[r][fc]
+        vec[free] = Fraction(1)
+        for col, row in span.pivots.items():
+            vec[col] = -row[free]
         basis.append(tuple(vec))
     return basis
 
 
 def frac_det(matrix) -> Fraction:
-    a = [[Fraction(x) for x in row] for row in matrix]
-    m = len(a)
+    """Determinant: the product of the pivot entries, signed by the pivot order.
+
+    Each added row is reduced only by combinations of earlier rows, so the
+    reduced rows have the same determinant; each is zero at the earlier pivot
+    columns, so permuting the columns into pivot order makes them upper
+    triangular with the pivot entries on the diagonal.
+    """
+    span = Span(len(matrix))
     det = Fraction(1)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, m):
-            if a[r][col]:
-                c = a[r][col] * inv
-                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
-    return det
+    for row in matrix:
+        det *= span.add(row)
+        if not det:
+            return det
+    order = list(span.pivots)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return -det if inversions % 2 else det
+
+
+def frac_inverse(matrix):
+    """Inverse as a list of Fraction rows, or None when the matrix is singular.
+
+    Reduces ``[M | I]``; M is singular exactly when a pivot lands in the
+    identity half, and otherwise the reduced form is ``[I | M^-1]``.
+    """
+    m = len(matrix)
+    span = Span(2 * m)
+    for r, row in enumerate(matrix):
+        span.add(list(row) + [int(i == r) for i in range(m)])
+    if any(col >= m for col in span.pivots):
+        return None
+    return [span.pivots[j][m:] for j in range(m)]
 
 
 def matvec_mod(mat, vec, p):
@@ -135,6 +146,27 @@ def matvec_mod(mat, vec, p):
     lo = vec & 0xFFFF
     hi = vec >> 16
     return (((mat @ hi) % p << 16) + (mat @ lo)) % p
+
+
+def inverse_mod(mat, p):
+    """Inverse of a square int64 matrix mod p by Gauss-Jordan, or None if singular."""
+    if p * p >= 1 << 63:
+        raise OverflowError(f"products mod {p} overflow int64")
+    m = mat.shape[0]
+    a = np.concatenate([mat % p, np.eye(m, dtype=np.int64)], axis=1)
+    for col in range(m):
+        nz = np.nonzero(a[col:, col])[0]
+        if len(nz) == 0:
+            return None
+        piv = col + int(nz[0])
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+        inv = pow(int(a[col, col]), p - 2, p)
+        a[col] = (a[col] * inv) % p
+        coeffs = a[:, col].copy()
+        coeffs[col] = 0
+        a = (a - np.outer(coeffs, a[col])) % p
+    return a[:, m:]
 
 
 def crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> tuple[int, int]:

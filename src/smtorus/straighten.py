@@ -193,53 +193,31 @@ def _solve_content_class(pair, n) -> None:
     cls = _content_class_pairs(content_of(pair, n), n)
     unknowns = [p for p in cls if not _comparable(p[0], p[1])]
     standards = [p for p in cls if _comparable(p[0], p[1])]
-    col = {p: i for i, p in enumerate(unknowns)}
-    scol = {p: i for i, p in enumerate(standards)}
+    k = len(unknowns)
+    col = {p: i for i, p in enumerate(unknowns + standards)}
     equations = []
     for p in unknowns:
         s1, s2 = _bset(p[0], n), _bset(p[1], n)
         for x in sorted(set(s1) ^ set(s2)):
-            lhs = [Fraction(0)] * len(unknowns)
-            rhs = [Fraction(0)] * len(standards)
+            equation = [0] * len(col)
             for key, c in _merged_relation(s1, s2, x).items():
                 if c == 0:
                     continue
                 g = sort_rows((index_from_bset(key[0], n), index_from_bset(key[1], n)))
-                if g in col:
-                    lhs[col[g]] += c
-                else:
-                    rhs[scol[g]] += c
-            equations.append((lhs, rhs))
-    # eliminate the unknown-pair columns
-    pivot_rows: dict[int, tuple] = {}
-    for lhs, rhs in equations:
-        lhs, rhs = lhs[:], rhs[:]
-        for j, prow in pivot_rows.items():
-            c = lhs[j]
-            if c:
-                lhs = [a - c * b for a, b in zip(lhs, prow[0])]
-                rhs = [a - c * b for a, b in zip(rhs, prow[1])]
-        for j, c in enumerate(lhs):
-            if c:
-                inv = Fraction(1) / c
-                lhs = [a * inv for a in lhs]
-                rhs = [a * inv for a in rhs]
-                for jj, (plhs, prhs) in list(pivot_rows.items()):
-                    cc = plhs[j]
-                    if cc:
-                        pivot_rows[jj] = (
-                            [a - cc * b for a, b in zip(plhs, lhs)],
-                            [a - cc * b for a, b in zip(prhs, rhs)],
-                        )
-                pivot_rows[j] = (lhs, rhs)
-                break
-        if len(pivot_rows) == len(unknowns):
+                equation[col[g]] += c
+            equations.append(equation)
+    span = linalg.Span(len(col))
+    for equation in equations:
+        span.add(equation)
+        if span.dim == k:
             break
-    if len(pivot_rows) < len(unknowns):
-        raise StraightenError("exchange relations do not determine the content class")
-    for j, (lhs, rhs) in pivot_rows.items():
-        exp = {standards[i]: -c for i, c in enumerate(rhs) if c}
-        _PAIR_MEMO[(n, unknowns[j])] = exp
+    # standard pairs are independent, so no equation may pivot on one
+    if sorted(span.pivots) != list(range(k)):
+        raise StraightenError(
+            "exchange relations of the content class contradict or underdetermine it"
+        )
+    for j, row in span.pivots.items():
+        _PAIR_MEMO[(n, unknowns[j])] = {standards[i]: -c for i, c in enumerate(row[k:]) if c}
 
 
 _PAIR_MEMO: dict = {}
@@ -404,7 +382,7 @@ class _Interpolator:
                 [self._chain_value(chain, q) for chain in self.basis]
                 for q in self.qvals
             ]
-            inv = _frac_inverse(mat)
+            inv = linalg.frac_inverse(mat)
             if inv is None:
                 return False
             self.inverse = inv
@@ -427,7 +405,7 @@ class _Interpolator:
         qmat = np.zeros((len(self.points), len(self.qrows)), dtype=np.int64)
         for s, upper in enumerate(self.points):
             qmat[s] = self._q_vector_mod(upper, p)
-        inv = _mod_inverse_matrix(self._products_mod(qmat, self.chain_idx, p), p)
+        inv = linalg.inverse_mod(self._products_mod(qmat, self.chain_idx, p), p)
         if inv is None:
             return False
         self.primes.append(p)
@@ -489,43 +467,6 @@ class _Interpolator:
             if evaluate_rows(rows, pt) != evaluate_expansion(exp, pt):
                 return False
         return True
-
-
-def _frac_inverse(matrix):
-    m = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == r)) for i in range(m)] for r, row in enumerate(matrix)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
-    return [row[m:] for row in a]
-
-
-def _mod_inverse_matrix(mat, p):
-    if p * p >= 1 << 63:
-        raise OverflowError(f"products mod {p} overflow int64")
-    m = mat.shape[0]
-    a = np.concatenate([mat % p, np.eye(m, dtype=np.int64)], axis=1)
-    for col in range(m):
-        nz = np.nonzero(a[col:, col])[0]
-        if len(nz) == 0:
-            return None
-        piv = col + int(nz[0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        inv = pow(int(a[col, col]), p - 2, p)
-        a[col] = (a[col] * inv) % p
-        coeffs = a[:, col].copy()
-        coeffs[col] = 0
-        a = (a - np.outer(coeffs, a[col])) % p
-    return a[:, m:]
 
 
 _INTERP_CACHE: dict = {}

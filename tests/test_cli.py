@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,19 @@ def run(tmp_path, *argv):
     out = tmp_path / "report.json"
     code = main(list(argv) + ["--out", str(out)])
     return code, json.loads(out.read_text())
+
+
+# sha256 of the seed-0 reports, pinned so that refactors keep them byte-identical
+REPORT_SHA256 = {
+    "spin8": "79a1bffee2e129883485e93241bc7b5765ef10c3dc307821a843e6b9bbb3df54",
+    "spin8n --n 2": "859b376925d6664d13ad67ad572ce838bb99462db59833fa9c787873ace47348",
+    "p-alpha1": "7d5593ae11ce59f62a736c6a248e7cc185fbfeb3e65cf0e1de3f512807c53fe8",
+    "sp": "2c14f09e33aa75637951de7bae1efb24e4b6fc80e0b1eee271e804634f676e01",
+}
+
+
+def report_sha256(tmp_path):
+    return hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
 
 
 def test_enumerate(tmp_path):
@@ -102,18 +116,21 @@ def test_reproduce_spin8(tmp_path):
     assert code == 0 and rep["ok"]
     assert all(c["ok"] for c in rep["claims"])
     assert "descent" in rep
+    assert report_sha256(tmp_path) == REPORT_SHA256["spin8"]
 
 
 def test_reproduce_p_alpha1(tmp_path):
     code, rep = run(tmp_path, "reproduce", "p-alpha1")
     assert code == 0 and rep["ok"]
     assert set(rep["results"]) == {str(n) for n in range(4, 9)}
+    assert report_sha256(tmp_path) == REPORT_SHA256["p-alpha1"]
 
 
 def test_reproduce_sp(tmp_path):
     code, rep = run(tmp_path, "reproduce", "sp")
     assert code == 0 and rep["ok"]
     assert set(rep["results"]) == {str(n) for n in range(2, 9)}
+    assert report_sha256(tmp_path) == REPORT_SHA256["sp"]
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -150,6 +167,7 @@ def test_reproduce_spin8n(tmp_path):
     assert all(c["ok"] for c in rep["claims"])
     assert "scope_note" in rep
     assert set(rep["diamond"]) == {"veronese-p1", "veronese-p2", "veronese-p3"}
+    assert report_sha256(tmp_path) == REPORT_SHA256["spin8n --n 2"]
 
 
 def test_invalid_values_exit_2(capsys):

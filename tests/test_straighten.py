@@ -4,8 +4,8 @@ from random import Random
 
 import pytest
 
-from smtorus import families, weyl
-from smtorus.pfaffian import random_skew_point
+from smtorus import families, straighten, weyl
+from smtorus.pfaffian import index_from_bset, random_skew_point
 from smtorus.straighten import (
     FuelExhaustedError,
     NotAPfaffianIndexError,
@@ -240,3 +240,27 @@ def test_rank6_pairs_straighten_soundly():
             assert is_standard_rows(rows)
         pt = random_skew_point(6, rng, 1, 99991)
         assert evaluate_rows((b1, b2), pt) == evaluate_expansion(exp, pt)
+
+
+def test_contradictory_exchange_relation_is_an_error(monkeypatch):
+    """An equation among standard pairs alone contradicts their independence."""
+    original = straighten._merged_relation
+    calls = []
+
+    def standard_terms_first(s1, s2, x):
+        merged = original(s1, s2, x)
+        calls.append(x)
+        if len(calls) > 1:
+            return merged
+        kept = {
+            key: c
+            for key, c in merged.items()
+            if is_standard_rows((index_from_bset(key[0], 4), index_from_bset(key[1], 4)))
+        }
+        assert any(kept.values())
+        return kept
+
+    monkeypatch.setattr(straighten, "_merged_relation", standard_terms_first)
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    with pytest.raises(straighten.StraightenError):
+        straighten._solve_content_class(sort_rows(((1, 4, 6, 7), (2, 3, 5, 8))), 4)
