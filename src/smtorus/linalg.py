@@ -4,9 +4,11 @@
 ``fractions.Fraction`` in fully reduced row echelon form, and every rational
 rank, membership test, kernel, determinant, inverse and content-class solve
 adds rows to a ``Span`` and reads the answer off its pivot rows.  Large
-interpolation solves instead run modulo 31-bit primes on int64 numpy arrays,
-whose word-size bounds are checked here; callers verify reconstructed answers
-exactly afterwards.
+interpolation solves instead run modulo primes below 2^21 on float64 numpy
+arrays: every product of residues goes through BLAS in chunks whose sums stay
+below 2^53, so each chunk is exact and needs one reduction.  The word-size
+bounds are checked here; callers verify reconstructed answers exactly
+afterwards.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ __all__ = [
     "kernel_of_columns",
     "frac_det",
     "frac_inverse",
-    "PRIMES31",
+    "PRIMES",
     "matvec_mod",
     "inverse_mod",
+    "products_mod",
     "crt",
     "symmetric_mod",
 ]
 
-PRIMES31 = (2147483647, 2147483629, 2147483587)
+# below 2^21, so that float64 products of residues are exact (see _chunk, _reduce)
+PRIMES = (2097143, 2097133, 2097131)
 
 
 class Span:
@@ -133,40 +137,133 @@ def frac_inverse(matrix):
     return [span.pivots[j][m:] for j in range(m)]
 
 
-def matvec_mod(mat, vec, p):
-    """mat @ vec mod p without int64 overflow (16-bit limb split of vec).
+def _chunk(p) -> int:
+    """Largest k with k * (p - 1)^2 + p < 2^53.
 
-    With entries below p <= 2^32, both limbs are below 2^16, so each limb
-    product sums to less than columns * p * 2^16, and recombining adds one
-    more p * 2^16.
+    A float64 sum of k products of residues mod p plus one residue is then an
+    exact integer; for the primes in ``PRIMES``, k = 2048.
     """
-    if p > 1 << 32 or (mat.shape[1] + 1) * p << 16 >= 1 << 63:
-        raise OverflowError(f"{mat.shape[1]} columns mod {p} overflow int64")
+    k = ((1 << 53) - p) // ((p - 1) * (p - 1))
+    if k < 1:
+        raise OverflowError(f"products mod {p} are not exact in float64")
+    return k
+
+
+def _reduce(x, p) -> None:
+    """x mod p in place, for a float64 array of integers with |x| + p <= 2^53.
+
+    ``x - floor(x / p) * p`` is then exact.  Half an ulp of the quotient
+    q = x / p is at most |q| * 2^-53 < 1/p, and a non-integer q lies at least
+    1/p from the nearest integer, so rounding cannot carry q across one and
+    the floor is the true quotient; its product with p and the difference are
+    integers below 2^53.  For the primes in ``PRIMES`` and the sums that
+    ``_chunk`` allows, |q| < 2^32: half an ulp is at most 2^-22, and 1/p > 2^-21.
+    """
+    q = np.divide(x, p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+
+
+def _matmul_mod(a, b, p):
+    """a @ b mod p as float64, for residues in [0, p) of any dtype.
+
+    The inner dimension is split into chunks of ``_chunk(p)``; each chunk is one
+    BLAS product added to the reduced running sum, followed by one reduction.
+    """
+    k = _chunk(p)
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for s in range(0, a.shape[1], k):
+        out += np.asarray(a[:, s : s + k], dtype=np.float64) @ np.asarray(
+            b[s : s + k], dtype=np.float64
+        )
+        _reduce(out, p)
+    return out
+
+
+def matvec_mod(mat, vec, p):
+    """mat @ vec mod p for a residue matrix, as int64."""
     vec = np.asarray(vec, dtype=np.int64) % p
-    lo = vec & 0xFFFF
-    hi = vec >> 16
-    return (((mat @ hi) % p << 16) + (mat @ lo)) % p
+    return _matmul_mod(mat, vec[:, None], p)[:, 0].astype(np.int64)
+
+
+_BLOCK = 128
+
+
+def _pivot(a, ncols, p):
+    """Gauss-Jordan with row pivoting on the first ncols columns of a, in place.
+
+    a is a float64 residue matrix with at least ncols rows.  Returns the row
+    swaps (step j swapped rows j and swaps[j]), or None when some column has
+    no pivot among the rows not yet used.
+    """
+    swaps = []
+    for j in range(ncols):
+        nz = np.flatnonzero(a[j:, j])
+        if len(nz) == 0:
+            return None
+        piv = j + int(nz[0])
+        swaps.append(piv)
+        a[[j, piv]] = a[[piv, j]]
+        a[j] *= pow(int(a[j, j]), p - 2, p)
+        _reduce(a[j], p)
+        coeffs = a[:, j].copy()
+        coeffs[j] = 0
+        a -= np.outer(coeffs, a[j])
+        _reduce(a, p)
+    return swaps
 
 
 def inverse_mod(mat, p):
-    """Inverse of a square int64 matrix mod p by Gauss-Jordan, or None if singular."""
+    """Inverse of a square integer matrix mod a prime p, as int64, or None if singular.
+
+    Blocked Gauss-Jordan on the float64 matrix ``[M | I]``.  For each panel of
+    ``_BLOCK`` columns, a small pivoting loop on the panel's remaining rows
+    picks independent pivot rows, which are swapped into place; another
+    inverts their square block B.  Then one product applies the whole panel:
+    with P the panel columns and E the identity on the pivot rows,
+    ``A -= ((P - E) B^-1) @ pivot_rows`` turns the panel into identity
+    columns.  M is singular exactly when some panel has too few pivots.
+    Raises OverflowError unless a block's products are exact in float64,
+    which takes p <= 2^23.
+    """
+    if _chunk(p) < _BLOCK:
+        raise OverflowError(f"block products mod {p} are not exact in float64")
+    m = mat.shape[0]
+    a = np.zeros((m, 2 * m))
+    a[:, :m] = np.asarray(mat, dtype=np.int64) % p
+    a[np.arange(m), m + np.arange(m)] = 1
+    for c0 in range(0, m, _BLOCK):
+        w = min(_BLOCK, m - c0)
+        swaps = _pivot(a[c0:, c0 : c0 + w].copy(), w, p)
+        if swaps is None:
+            return None
+        for j, piv in enumerate(swaps):
+            a[[c0 + j, c0 + piv]] = a[[c0 + piv, c0 + j]]
+        rows = slice(c0, c0 + w)
+        block = np.concatenate([a[rows, rows], np.eye(w)], axis=1)
+        _pivot(block, w, p)
+        panel = a[:, rows].copy()
+        panel[np.arange(c0, c0 + w), np.arange(w)] -= 1
+        factor = _matmul_mod(panel % p, block[:, w:], p)
+        # w <= _BLOCK <= _chunk(p), so the product and the difference are exact
+        a[:, c0:] -= factor @ a[rows, c0:]
+        _reduce(a[:, c0:], p)
+    return a[:, m:].astype(np.int64)
+
+
+def products_mod(qmat, idx, p):
+    """Row-wise products of q-values mod p as int64, one column per monomial.
+
+    Column j multiplies the columns ``idx[j]`` of qmat; entries are residues,
+    so each partial product is below p^2.
+    """
     if p * p >= 1 << 63:
         raise OverflowError(f"products mod {p} overflow int64")
-    m = mat.shape[0]
-    a = np.concatenate([mat % p, np.eye(m, dtype=np.int64)], axis=1)
-    for col in range(m):
-        nz = np.nonzero(a[col:, col])[0]
-        if len(nz) == 0:
-            return None
-        piv = col + int(nz[0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        inv = pow(int(a[col, col]), p - 2, p)
-        a[col] = (a[col] * inv) % p
-        coeffs = a[:, col].copy()
-        coeffs[col] = 0
-        a = (a - np.outer(coeffs, a[col])) % p
-    return a[:, m:]
+    vals = qmat[:, idx[:, 0]].copy()
+    for col in range(1, idx.shape[1]):
+        vals = (vals * qmat[:, idx[:, col]]) % p
+    return vals
 
 
 def crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> tuple[int, int]:

@@ -17,8 +17,9 @@ may be interleaved with the rewriting.
 An independent evaluation route expands products by exact interpolation: the
 standard monomials sharing the content of the product are evaluated at random
 rational skew matrices and the coordinates solved for exactly.  Large systems
-are solved modulo 31-bit primes and the reconstructed expansion is then
-re-verified by exact evaluation at fresh points.
+are solved modulo primes below 2^21 (``linalg.PRIMES``, whose residue products
+are exact in float64) and the reconstructed expansion is then re-verified by
+exact evaluation at fresh points.
 """
 
 from __future__ import annotations
@@ -388,7 +389,9 @@ class _Interpolator:
             self.inverse = inv
             return True
         # reconstructed coefficients are small, so one prime normally suffices;
-        # failed verification escalates to further primes over the same points
+        # failed verification escalates to further primes over the same points,
+        # skipping any prime the evaluation matrix is singular for
+        self.next_prime = 0
         self.primes = []
         self.mod_inverses = []
         self.mod_qmats = []
@@ -398,28 +401,20 @@ class _Interpolator:
         return self._add_prime()
 
     def _add_prime(self) -> bool:
-        used = len(self.primes)
-        if used >= len(linalg.PRIMES31):
-            return False
-        p = linalg.PRIMES31[used]
-        qmat = np.zeros((len(self.points), len(self.qrows)), dtype=np.int64)
-        for s, upper in enumerate(self.points):
-            qmat[s] = self._q_vector_mod(upper, p)
-        inv = linalg.inverse_mod(self._products_mod(qmat, self.chain_idx, p), p)
-        if inv is None:
-            return False
-        self.primes.append(p)
-        self.mod_inverses.append(inv)
-        self.mod_qmats.append(qmat)
-        return True
-
-    @staticmethod
-    def _products_mod(qmat, idx, p):
-        """Column products of q-values mod p, one column per monomial."""
-        vals = qmat[:, idx[:, 0]].copy()
-        for col in range(1, idx.shape[1]):
-            vals = (vals * qmat[:, idx[:, col]]) % p
-        return vals
+        """Invert the evaluation matrix modulo the next prime it is regular for."""
+        while self.next_prime < len(linalg.PRIMES):
+            p = linalg.PRIMES[self.next_prime]
+            self.next_prime += 1
+            qmat = np.zeros((len(self.points), len(self.qrows)), dtype=np.int64)
+            for s, upper in enumerate(self.points):
+                qmat[s] = self._q_vector_mod(upper, p)
+            inv = linalg.inverse_mod(linalg.products_mod(qmat, self.chain_idx, p), p)
+            if inv is not None:
+                self.primes.append(p)
+                self.mod_inverses.append(inv)
+                self.mod_qmats.append(qmat)
+                return True
+        return False
 
     @staticmethod
     def _chain_value(chain, qvals):
@@ -439,7 +434,7 @@ class _Interpolator:
             idx = np.array([[self.row_index[r] for r in rows]], dtype=np.int64)
             residues = []
             for p, inv, qmat in zip(self.primes, self.mod_inverses, self.mod_qmats):
-                rhs = self._products_mod(qmat, idx, p)[:, 0]
+                rhs = linalg.products_mod(qmat, idx, p)[:, 0]
                 residues.append(linalg.matvec_mod(inv, rhs, p))
             coeffs = []
             for i in range(len(self.basis)):

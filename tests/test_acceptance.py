@@ -242,4 +242,4 @@ def test_criterion_8_property_suite():
         "note: general-rank family statements are exercised at rank 8 (the smallest "
         "family parameter); larger ranks are covered by this property suite"
     )
-    _finish(8, "property suite: Pfaffian identities, path agreement, round trips", t0, 120)
+    _finish(8, "property suite: Pfaffian identities, path agreement, round trips", t0, 30)

@@ -6,22 +6,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smtorus.linalg import PRIMES31, frac_det, frac_inverse, inverse_mod, kernel_of_columns, matvec_mod
+from smtorus import linalg
+from smtorus.linalg import (
+    PRIMES,
+    frac_det,
+    frac_inverse,
+    inverse_mod,
+    kernel_of_columns,
+    matvec_mod,
+    products_mod,
+)
 
-
-def test_matvec_mod_refuses_too_many_columns():
-    with pytest.raises(OverflowError):
-        matvec_mod(np.zeros((1, 70_000), dtype=np.int64), np.zeros(70_000, dtype=np.int64), PRIMES31[0])
+B = linalg._BLOCK
+# a prime whose square already breaks the float64 bound of 2^53
+WIDE = (1 << 31) - 1
 
 
 def test_matvec_mod_refuses_wide_primes():
     with pytest.raises(OverflowError):
-        matvec_mod(np.ones((1, 1), dtype=np.int64), np.ones(1, dtype=np.int64), (1 << 40) + 15)
+        matvec_mod(np.ones((1, 1), dtype=np.int64), np.ones(1, dtype=np.int64), WIDE)
 
 
 def test_mod_inverse_refuses_wide_primes():
     with pytest.raises(OverflowError):
-        inverse_mod(np.ones((1, 1), dtype=np.int64), (1 << 32) + 15)
+        inverse_mod(np.ones((1, 1), dtype=np.int64), WIDE)
+
+
+def test_mod_inverse_refuses_primes_too_wide_for_a_block():
+    p = 16777213  # below 2^24: one product is exact, a block's sum is not
+    assert 1 <= linalg._chunk(p) < B
+    with pytest.raises(OverflowError):
+        inverse_mod(np.ones((1, 1), dtype=np.int64), p)
+
+
+def test_products_mod_refuses_wide_primes():
+    with pytest.raises(OverflowError):
+        products_mod(np.ones((1, 1), dtype=np.int64), np.zeros((1, 2), dtype=np.int64), (1 << 32) + 15)
+
+
+@pytest.mark.parametrize("columns", [1, 2048, 2049, 6000])
+@pytest.mark.parametrize("p", PRIMES)
+def test_matvec_mod_is_exact_at_the_largest_residues(p, columns):
+    """Every product is (p-1)^2, the worst case for a chunk's float64 sum."""
+    mat = np.full((2, columns), p - 1, dtype=np.int64)
+    mat[1, ::3] = 1
+    vec = np.full(columns, p - 1, dtype=np.int64)
+    expected = [sum(int(a) * int(b) for a, b in zip(row, vec)) % p for row in mat]
+    assert matvec_mod(mat, vec, p).tolist() == expected
+
+
+@pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("p", PRIMES)
+def test_inverse_mod_times_matrix_is_identity(p, size):
+    """M * inverse_mod(M) == I, multiplied out in Python ints."""
+    rng = np.random.default_rng(size)
+    mat = rng.integers(0, p, size=(size, size))
+    # a zero corner makes the first panel take its pivots from lower rows
+    mat[: size // 2, : size // 2] = 0
+    inv = inverse_mod(mat, p)
+    assert inv is not None and inv.dtype == np.int64
+    assert 0 <= inv.min() and inv.max() < p
+    product = (mat.astype(object) @ inv.astype(object)) % p
+    assert (product == np.eye(size, dtype=np.int64)).all()
+
+
+def test_inverse_mod_finds_a_repeated_column_in_the_second_panel():
+    p = PRIMES[0]
+    mat = np.random.default_rng(0).integers(0, p, size=(2 * B + 1, 2 * B + 1))
+    mat[:, B + 7] = mat[:, B + 3]
+    assert inverse_mod(mat, p) is None
 
 
 def _sign(perm):
@@ -100,3 +153,15 @@ def test_kernel_of_columns_annihilates_and_has_full_size(vectors):
     rows = [[v[j] for v in vectors] for j in range(length)]
     assert len(kernel) == len(vectors) - _rank(rows)
     assert _rank(kernel) == len(kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices().filter(len))
+def test_inverse_mod_is_none_exactly_when_leibniz_vanishes_mod_p(matrix):
+    p = 101
+    inv = inverse_mod(np.array(matrix, dtype=np.int64), p)
+    assert (inv is None) == (_leibniz(matrix) % p == 0)
+    if inv is not None:
+        m = len(matrix)
+        product = (np.array(matrix, dtype=object) @ inv.astype(object)) % p
+        assert (product == np.eye(m, dtype=np.int64)).all()

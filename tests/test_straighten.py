@@ -264,3 +264,30 @@ def test_contradictory_exchange_relation_is_an_error(monkeypatch):
     monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
     with pytest.raises(straighten.StraightenError):
         straighten._solve_content_class(sort_rows(((1, 4, 6, 7), (2, 3, 5, 8))), 4)
+
+
+def test_interpolation_skips_a_singular_prime_when_escalating(monkeypatch):
+    """A failed verification moves on to the next prime the matrix is regular for."""
+    # rank 6, every value twice: 70 standard monomials, so the modular path
+    rows = sort_rows(
+        ((1, 2, 7, 8, 9, 10), (1, 4, 5, 6, 10, 11), (2, 3, 7, 8, 9, 12), (3, 4, 5, 6, 11, 12))
+    )
+    primes = straighten.linalg.PRIMES
+    inverse_mod = straighten.linalg.inverse_mod
+    verify = straighten._Interpolator._verify
+    verified = []
+
+    def singular_at_second_prime(mat, p):
+        return None if p == primes[1] else inverse_mod(mat, p)
+
+    def fail_first(self, rows, exp, trials=3):
+        verified.append(rows)
+        return len(verified) > 1 and verify(self, rows, exp, trials)
+
+    monkeypatch.setattr(straighten.linalg, "inverse_mod", singular_at_second_prime)
+    monkeypatch.setattr(straighten._Interpolator, "_verify", fail_first)
+    monkeypatch.setattr(straighten, "_INTERP_CACHE", {})
+    assert expand_by_interpolation(rows, 6) == straighten_rows(rows, 6)
+    (ctx,) = straighten._INTERP_CACHE.values()
+    assert len(ctx.basis) > straighten._EXACT_LIMIT
+    assert ctx.primes == [primes[0], primes[2]]
