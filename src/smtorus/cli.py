@@ -27,8 +27,7 @@ from .pfaffian import (
     skew_determinant,
 )
 from .straighten import (
-    BasisMismatchError,
-    SingularEvaluationMatrixError,
+    ComputationError,
     expansion_to_json,
     expand_product,
     straighten_rows,
@@ -644,8 +643,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BasisMismatchError, SingularEvaluationMatrixError) as exc:
-        # the input was fine; a computation or an embedded cross-check failed
+    except ComputationError as exc:
         print(f"smtorus: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (

@@ -2,13 +2,12 @@
 
 ``Span`` is the package's one exact elimination: it keeps a row space over
 ``fractions.Fraction`` in fully reduced row echelon form, and every rational
-rank, membership test, kernel, determinant, inverse and content-class solve
-adds rows to a ``Span`` and reads the answer off its pivot rows.  Large
-interpolation solves instead run modulo primes below 2^21 on float64 numpy
-arrays: every product of residues goes through BLAS in chunks whose sums stay
-below 2^53, so each chunk is exact and needs one reduction.  The word-size
-bounds are checked here; callers verify reconstructed answers exactly
-afterwards.
+rank, membership test, kernel and determinant adds rows to a ``Span`` and
+reads the answer off its pivot rows.  Interpolation and content-class solves
+run modulo primes below 2^21 on float64 numpy arrays: every product of
+residues goes through BLAS in chunks whose sums stay below 2^53, so each chunk
+is exact and needs one reduction.  The word-size bounds are checked here;
+answers mod p are checked exactly, here or by the caller.
 """
 
 from __future__ import annotations
@@ -21,11 +20,11 @@ __all__ = [
     "Span",
     "kernel_of_columns",
     "frac_det",
-    "frac_inverse",
     "PRIMES",
     "matvec_mod",
     "inverse_mod",
     "products_mod",
+    "integer_solution",
     "crt",
     "symmetric_mod",
 ]
@@ -120,21 +119,6 @@ def frac_det(matrix) -> Fraction:
     order = list(span.pivots)
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
     return -det if inversions % 2 else det
-
-
-def frac_inverse(matrix):
-    """Inverse as a list of Fraction rows, or None when the matrix is singular.
-
-    Reduces ``[M | I]``; M is singular exactly when a pivot lands in the
-    identity half, and otherwise the reduced form is ``[I | M^-1]``.
-    """
-    m = len(matrix)
-    span = Span(2 * m)
-    for r, row in enumerate(matrix):
-        span.add(list(row) + [int(i == r) for i in range(m)])
-    if any(col >= m for col in span.pivots):
-        return None
-    return [span.pivots[j][m:] for j in range(m)]
 
 
 def _chunk(p) -> int:
@@ -264,6 +248,60 @@ def products_mod(qmat, idx, p):
     for col in range(1, idx.shape[1]):
         vals = (vals * qmat[:, idx[:, col]]) % p
     return vals
+
+
+def _dense(equations, width):
+    """Sparse rows ``{column: coeff}`` as an int64 matrix of their first width columns."""
+    a = np.zeros((len(equations), width), dtype=np.int64)
+    for i, equation in enumerate(equations):
+        for j, c in equation.items():
+            if j < width:
+                a[i, j] = c
+    return a
+
+
+def integer_solution(equations, k, width):
+    """The integer matrix X with L X + R = 0, as int64, or None if no prime yields it.
+
+    The equations are sparse integer rows ``{column: coeff}`` of ``[L | R]``,
+    with the k unknowns in columns ``0..k-1``.  For each prime p, ``_pivot``
+    picks k rows S independent mod p from the first 3k equations, or else from
+    all, and X = -L_S^-1 R_S mod p is lifted to entries in (-p/2, p/2).  As L_S
+    is invertible mod p, its determinant is a nonzero integer and L X + R = 0
+    has at most one rational solution, so the lift is returned once it
+    satisfies every equation exactly.
+    """
+    for p in PRIMES:
+        for count in sorted({min(3 * k, len(equations)), len(equations)}):
+            swaps = _pivot((_dense(equations[:count], k) % p).astype(np.float64), k, p)
+            if swaps is not None:
+                break
+        if swaps is None:
+            continue
+        rows = list(range(count))
+        for j, piv in enumerate(swaps):
+            rows[j], rows[piv] = rows[piv], rows[j]
+        system = _dense([equations[i] for i in rows[:k]], width) % p
+        x = -_matmul_mod(inverse_mod(system[:, :k], p), system[:, k:], p)
+        x[x < -(p // 2)] += p
+        x = x.astype(np.int64)
+        if _satisfies(equations, x, k):
+            return x
+    return None
+
+
+def _satisfies(equations, x, k) -> bool:
+    """Whether L X + R = 0 for every equation, in int64 with its bound checked."""
+    # a row's absolute sum times max(1, max |X|) bounds each partial sum of its product
+    top = max(1, int(np.abs(x).max(initial=0)))
+    for s in range(0, len(equations), _BLOCK):
+        chunk = equations[s : s + _BLOCK]
+        if max(sum(map(abs, eq.values())) for eq in chunk) * top >= 1 << 63:
+            raise OverflowError("the exact check L X + R = 0 overflows int64")
+        block = _dense(chunk, k + x.shape[1])
+        if (block[:, :k] @ x + block[:, k:]).any():
+            return False
+    return True
 
 
 def crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> tuple[int, int]:

@@ -8,18 +8,19 @@ nonstandard companions strictly descend in the (larger row, smaller row)
 order, and the handful of pairs admitting no descending relation (exchanges
 preserve the symmetric difference of the two B-subsets, so fully complementary
 pairs cannot drop) are resolved by solving all exchange relations of their
-content class at once.  The resulting pair expansions obey the two-sided
-straightening bounds, so substituting them into longer monomials strictly
-lowers the smallest row and the rewriting loop terminates.  Restriction to a
+content class at once, modulo a prime, with the lifted integer answer checked
+exactly against every relation.  The resulting pair expansions obey the
+two-sided straightening bounds, so substituting them into longer monomials
+strictly lowers the smallest row and the rewriting loop terminates.  Restriction to a
 Schubert variety drops any term using a row not below the defining index and
 may be interleaved with the rewriting.
 
-An independent evaluation route expands products by exact interpolation: the
+An independent evaluation route expands products by interpolation: the
 standard monomials sharing the content of the product are evaluated at random
-rational skew matrices and the coordinates solved for exactly.  Large systems
-are solved modulo primes below 2^21 (``linalg.PRIMES``, whose residue products
-are exact in float64) and the reconstructed expansion is then re-verified by
-exact evaluation at fresh points.
+skew matrices and the coordinates solved for modulo primes below 2^21
+(``linalg.PRIMES``, whose residue products are exact in float64); the
+reconstructed expansion is then re-verified by exact evaluation at fresh
+points.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .pfaffian import (
     exchange_relation,
     q_eval,
     skew_point,
-    sub_pfaffian,
 )
 from .tableau import Tableau, standard_chains
 from .weyl import IndexVector, bruhat_leq, minimal_coset_reps_alpha_n, top_coset_rep
@@ -45,9 +45,11 @@ from .weyl import IndexVector, bruhat_leq, minimal_coset_reps_alpha_n, top_coset
 __all__ = [
     "StraightenError",
     "NotAPfaffianIndexError",
+    "ComputationError",
     "FuelExhaustedError",
     "SingularEvaluationMatrixError",
     "BasisMismatchError",
+    "ContentClassError",
     "Expansion",
     "sort_rows",
     "is_standard_rows",
@@ -76,15 +78,23 @@ class NotAPfaffianIndexError(StraightenError):
     pass
 
 
-class FuelExhaustedError(StraightenError):
+class ComputationError(StraightenError):
+    """The input was valid, but a computation or an embedded cross-check failed."""
+
+
+class FuelExhaustedError(ComputationError):
     pass
 
 
-class SingularEvaluationMatrixError(StraightenError):
+class SingularEvaluationMatrixError(ComputationError):
     pass
 
 
-class BasisMismatchError(StraightenError):
+class BasisMismatchError(ComputationError):
+    pass
+
+
+class ContentClassError(ComputationError):
     pass
 
 
@@ -138,13 +148,17 @@ def _candidate_rewrites(pair, n):
         for key, c in merged.items():
             if key == target or c == 0:
                 continue
-            g = sort_rows((index_from_bset(key[0], n), index_from_bset(key[1], n)))
+            g = _row_pair(key, n)
             if not _comparable(g[0], g[1]) and not (g[1], g[0]) < pair_key:
                 descending = False
                 break
             companions.append((Fraction(-c, c0), g))
         if descending:
             yield companions
+
+
+def _row_pair(key, n) -> Rows:
+    return sort_rows((index_from_bset(key[0], n), index_from_bset(key[1], n)))
 
 
 def _merged_relation(s1, s2, x):
@@ -164,16 +178,12 @@ def _content_class_pairs(content, n):
     pairs = set()
     for u in minimal_coset_reps_alpha_n(n):
         remaining = dict(content)
-        ok = True
         for v in u:
-            if remaining.get(v, 0) == 0:
-                ok = False
-                break
             remaining[v] -= 1
-        if not ok:
+        if any(c not in (0, 1) for c in remaining.values()):
             continue
-        rest = tuple(sorted(v for v, c in remaining.items() if c == 1))
-        if sum(remaining.values()) != len(rest) or len(rest) != n:
+        rest = tuple(sorted(v for v, c in remaining.items() if c))
+        if len(rest) != n:
             continue
         try:
             _bset(rest, n)
@@ -186,10 +196,14 @@ def _content_class_pairs(content, n):
 def _solve_content_class(pair, n) -> None:
     """Express every nonstandard pair of a content class over the standard ones.
 
-    Used for the few exceptional pairs with no strictly descending rewrite:
-    the exchange relations of the whole class are solved simultaneously by
-    exact elimination, which stays within the class because exchanges preserve
-    the content.
+    Used for the few exceptional pairs with no strictly descending rewrite.
+    Exchanges preserve the content, so the exchange relations of the class
+    involve only its pairs, and ``linalg.integer_solution`` solves them all at
+    once.  Standard monomials are a basis over the integers (Lakshmibai-
+    Seshadri), so each unknown pair has exactly one expansion, with integer
+    coefficients; the modular answer is memoized only after an exact check
+    against every relation, and a class that fails it raises
+    ``ContentClassError``.
     """
     cls = _content_class_pairs(content_of(pair, n), n)
     unknowns = [p for p in cls if not _comparable(p[0], p[1])]
@@ -200,25 +214,16 @@ def _solve_content_class(pair, n) -> None:
     for p in unknowns:
         s1, s2 = _bset(p[0], n), _bset(p[1], n)
         for x in sorted(set(s1) ^ set(s2)):
-            equation = [0] * len(col)
-            for key, c in _merged_relation(s1, s2, x).items():
-                if c == 0:
-                    continue
-                g = sort_rows((index_from_bset(key[0], n), index_from_bset(key[1], n)))
-                equation[col[g]] += c
-            equations.append(equation)
-    span = linalg.Span(len(col))
-    for equation in equations:
-        span.add(equation)
-        if span.dim == k:
-            break
-    # standard pairs are independent, so no equation may pivot on one
-    if sorted(span.pivots) != list(range(k)):
-        raise StraightenError(
-            "exchange relations of the content class contradict or underdetermine it"
+            # distinct subset pairs are distinct row pairs, so no column repeats
+            merged = _merged_relation(s1, s2, x)
+            equations.append({col[_row_pair(key, n)]: c for key, c in merged.items() if c})
+    x = linalg.integer_solution(equations, k, len(col))
+    if x is None:
+        raise ContentClassError(
+            f"no prime solves the {k}-unknown content class of {pair} exactly"
         )
-    for j, row in span.pivots.items():
-        _PAIR_MEMO[(n, unknowns[j])] = {standards[i]: -c for i, c in enumerate(row[k:]) if c}
+    for j, row in enumerate(x.tolist()):
+        _PAIR_MEMO[(n, unknowns[j])] = {standards[i]: Fraction(c) for i, c in enumerate(row) if c}
 
 
 _PAIR_MEMO: dict = {}
@@ -329,16 +334,11 @@ def evaluate_expansion(exp: Expansion, point) -> Fraction:
     return sum((c * evaluate_rows(rows, point) for rows, c in exp.items()), Fraction(0))
 
 
-_EXACT_LIMIT = 64
-
-
 class _Interpolator:
     """Evaluation-basis context for one (rank, content) class, reused per seed."""
 
     def __init__(self, n, num_rows, content, seed):
         self.n = n
-        self.content = content
-        self.seed = seed
         self.qrows = minimal_coset_reps_alpha_n(n)
         self.row_index = {r: i for i, r in enumerate(self.qrows)}
         self.bsets = {r: _bset(r, n) for r in self.qrows}
@@ -346,9 +346,16 @@ class _Interpolator:
         if not self.basis:
             raise BasisMismatchError("no standard monomials with the product's content")
         self.rng = Random(f"interp:{seed}:{n}:{num_rows}:{sorted(content.items())}")
-        self.exact = len(self.basis) <= _EXACT_LIMIT
-        for attempt in range(5):
-            if self._build():
+        self.chain_idx = np.array(
+            [[self.row_index[r] for r in chain] for chain in self.basis], dtype=np.int64
+        )
+        # reconstructed coefficients are small, so one prime normally suffices;
+        # failed verification escalates to further primes over the same points,
+        # skipping any prime the evaluation matrix is singular for
+        for _ in range(5):
+            self.points = self._draw_points(len(self.basis))
+            self.next_prime, self.primes, self.mod_inverses, self.mod_qmats = 0, [], [], []
+            if self._add_prime():
                 return
         raise SingularEvaluationMatrixError(
             f"singular evaluation matrix after 5 resamples ({len(self.basis)} monomials)"
@@ -365,40 +372,10 @@ class _Interpolator:
             pts.append(upper)
         return pts
 
-    def _q_vector_exact(self, upper):
-        pt = skew_point(self.n, upper)
-        return {r: sub_pfaffian(pt, self.bsets[r]) for r in self.qrows}
-
     def _q_vector_mod(self, upper, p):
         entries = {k: v % p for k, v in upper.items()}
         cache: dict = {}
         return [_pf(entries, self.bsets[r], cache, p) for r in self.qrows]
-
-    def _build(self) -> bool:
-        m = len(self.basis)
-        self.points = self._draw_points(m)
-        if self.exact:
-            self.qvals = [self._q_vector_exact(upper) for upper in self.points]
-            mat = [
-                [self._chain_value(chain, q) for chain in self.basis]
-                for q in self.qvals
-            ]
-            inv = linalg.frac_inverse(mat)
-            if inv is None:
-                return False
-            self.inverse = inv
-            return True
-        # reconstructed coefficients are small, so one prime normally suffices;
-        # failed verification escalates to further primes over the same points,
-        # skipping any prime the evaluation matrix is singular for
-        self.next_prime = 0
-        self.primes = []
-        self.mod_inverses = []
-        self.mod_qmats = []
-        self.chain_idx = np.array(
-            [[self.row_index[r] for r in chain] for chain in self.basis], dtype=np.int64
-        )
-        return self._add_prime()
 
     def _add_prime(self) -> bool:
         """Invert the evaluation matrix modulo the next prime it is regular for."""
@@ -416,32 +393,18 @@ class _Interpolator:
                 return True
         return False
 
-    @staticmethod
-    def _chain_value(chain, qvals):
-        val = Fraction(1)
-        for r in chain:
-            val *= qvals[r]
-        return val
-
     def _solve(self, rows) -> Expansion:
-        if self.exact:
-            rhs = [self._chain_value(rows, q) for q in self.qvals]
-            coeffs = [
-                sum(self.inverse[i][s] * rhs[s] for s in range(len(rhs)))
-                for i in range(len(self.basis))
-            ]
-        else:
-            idx = np.array([[self.row_index[r] for r in rows]], dtype=np.int64)
-            residues = []
-            for p, inv, qmat in zip(self.primes, self.mod_inverses, self.mod_qmats):
-                rhs = linalg.products_mod(qmat, idx, p)[:, 0]
-                residues.append(linalg.matvec_mod(inv, rhs, p))
-            coeffs = []
-            for i in range(len(self.basis)):
-                r, mod = int(residues[0][i]), self.primes[0]
-                for k in range(1, len(self.primes)):
-                    r, mod = linalg.crt(r, mod, int(residues[k][i]), self.primes[k])
-                coeffs.append(Fraction(linalg.symmetric_mod(r, mod)))
+        idx = np.array([[self.row_index[r] for r in rows]], dtype=np.int64)
+        residues = []
+        for p, inv, qmat in zip(self.primes, self.mod_inverses, self.mod_qmats):
+            rhs = linalg.products_mod(qmat, idx, p)[:, 0]
+            residues.append(linalg.matvec_mod(inv, rhs, p))
+        coeffs = []
+        for i in range(len(self.basis)):
+            r, mod = int(residues[0][i]), self.primes[0]
+            for k in range(1, len(self.primes)):
+                r, mod = linalg.crt(r, mod, int(residues[k][i]), self.primes[k])
+            coeffs.append(Fraction(linalg.symmetric_mod(r, mod)))
         return {self.basis[i]: c for i, c in enumerate(coeffs) if c}
 
     def expand(self, rows) -> Expansion:
@@ -450,7 +413,7 @@ class _Interpolator:
             exp = self._solve(rows)
             if self._verify(rows, exp):
                 return exp
-            if self.exact or not self._add_prime():
+            if not self._add_prime():
                 raise SingularEvaluationMatrixError(
                     "interpolated expansion failed exact re-evaluation"
                 )

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from smtorus import straighten
+from smtorus import cli, straighten
 from smtorus.cli import main
 
 
@@ -17,6 +17,7 @@ def run(tmp_path, *argv):
 REPORT_SHA256 = {
     "spin8": "79a1bffee2e129883485e93241bc7b5765ef10c3dc307821a843e6b9bbb3df54",
     "spin8n --n 2": "859b376925d6664d13ad67ad572ce838bb99462db59833fa9c787873ace47348",
+    "spin8n --n 3": "e0aea75b804208c9e40f82a34d74c11b54f28663d0bfc1386465eef1e0f05b0e",
     "p-alpha1": "7d5593ae11ce59f62a736c6a248e7cc185fbfeb3e65cf0e1de3f512807c53fe8",
     "sp": "2c14f09e33aa75637951de7bae1efb24e4b6fc80e0b1eee271e804634f676e01",
 }
@@ -170,6 +171,13 @@ def test_reproduce_spin8n(tmp_path):
     assert report_sha256(tmp_path) == REPORT_SHA256["spin8n --n 2"]
 
 
+def test_reproduce_spin8n_rank12(tmp_path):
+    code, rep = run(tmp_path, "reproduce", "spin8n", "--n", "3")
+    assert code == 0 and rep["ok"]
+    assert all(c["ok"] for c in rep["claims"])
+    assert report_sha256(tmp_path) == REPORT_SHA256["spin8n --n 3"]
+
+
 def test_invalid_values_exit_2(capsys):
     assert main(["enumerate", "--n", "4", "--w", "1,2,3,5"]) == 2
     assert "smtorus:" in capsys.readouterr().err
@@ -211,4 +219,29 @@ def test_singular_evaluation_matrix_exits_1(tmp_path, monkeypatch, capsys):
     ])
     assert code == 1
     assert "SingularEvaluationMatrixError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unsolved_content_class_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(straighten, "_candidate_rewrites", lambda pair, n: iter(()))
+    monkeypatch.setattr(straighten.linalg, "integer_solution", lambda equations, k, width: None)
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    out = tmp_path / "report.json"
+    code = main(["straighten", "--n", "4", "--rows", "1,4,6,7;2,3,5,8", "--out", str(out)])
+    assert code == 1
+    assert "ContentClassError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exhausted_fuel_exits_1(tmp_path, monkeypatch, capsys):
+    real = straighten.straighten_rows
+
+    def no_fuel(rows, n, **kwargs):
+        return real(rows, n, fuel=0, **kwargs)
+
+    monkeypatch.setattr(cli, "straighten_rows", no_fuel)
+    out = tmp_path / "report.json"
+    code = main(["straighten", "--n", "4", "--rows", "1,4,6,7;2,3,5,8", "--out", str(out)])
+    assert code == 1
+    assert "FuelExhaustedError" in capsys.readouterr().err
     assert not out.exists()

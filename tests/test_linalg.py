@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from smtorus import linalg
 from smtorus.linalg import (
     PRIMES,
+    Span,
     frac_det,
-    frac_inverse,
+    integer_solution,
     inverse_mod,
     kernel_of_columns,
     matvec_mod,
@@ -37,6 +38,13 @@ def test_mod_inverse_refuses_primes_too_wide_for_a_block():
     assert 1 <= linalg._chunk(p) < B
     with pytest.raises(OverflowError):
         inverse_mod(np.ones((1, 1), dtype=np.int64), p)
+
+
+def test_integer_solution_refuses_an_int64_overflow():
+    """x = 4 fails 2^62 x = 0, but the int64 product 2^64 would wrap to 0."""
+    equations = [{0: 1, 1: -4}, {0: 1 << 62}]
+    with pytest.raises(OverflowError):
+        integer_solution(equations, 1, 2)
 
 
 def test_products_mod_refuses_wide_primes():
@@ -130,20 +138,6 @@ def test_frac_det_matches_leibniz(matrix):
 
 
 @settings(max_examples=200, deadline=None)
-@given(square_matrices())
-def test_frac_inverse_exactly_when_det_nonzero(matrix):
-    inv = frac_inverse(matrix)
-    if _leibniz(matrix) == 0:
-        assert inv is None
-        return
-    m = len(matrix)
-    product = [
-        [sum(matrix[i][s] * inv[s][j] for s in range(m)) for j in range(m)] for i in range(m)
-    ]
-    assert product == [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-
-
-@settings(max_examples=200, deadline=None)
 @given(rect_matrices())
 def test_kernel_of_columns_annihilates_and_has_full_size(vectors):
     kernel = kernel_of_columns(vectors)
@@ -165,3 +159,60 @@ def test_inverse_mod_is_none_exactly_when_leibniz_vanishes_mod_p(matrix):
         m = len(matrix)
         product = (np.array(matrix, dtype=object) @ inv.astype(object)) % p
         assert (product == np.eye(m, dtype=np.int64)).all()
+
+
+def _span_solution(equations, k, width):
+    """X with L X + R = 0 by exact elimination of every equation, or None."""
+    span = Span(width)
+    for equation in equations:
+        span.add([equation.get(j, 0) for j in range(width)])
+    if sorted(span.pivots) != list(range(k)):
+        return None
+    return [[-c for c in span.pivots[j][k:]] for j in range(k)]
+
+
+def integer_systems():
+    """(L, X): small coefficients L, and unknowns X with up to six digits."""
+    return st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(
+                st.lists(ENTRY, min_size=shape[0], max_size=shape[0]),
+                min_size=shape[0] + shape[2],
+                max_size=shape[0] + shape[2],
+            ),
+            st.lists(
+                st.lists(st.integers(-(10**6), 10**6), min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0],
+                max_size=shape[0],
+            ),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_integer_solution_matches_exact_elimination(system):
+    lhs, x = system
+    k, r = len(x), len(x[0])
+    equations = []
+    for row in lhs:
+        rhs = [-sum(a * x[i][c] for i, a in enumerate(row)) for c in range(r)]
+        equations.append({j: a for j, a in enumerate(row + rhs) if a})
+    reference = _span_solution(equations, k, k + r)
+    got = integer_solution(equations, k, k + r)
+    assert (got is None) == (reference is None)
+    if got is not None:
+        assert got.dtype == np.int64 and got.shape == (k, r)
+        assert got.tolist() == reference == x
+
+
+def test_integer_solution_widens_past_the_first_3k_equations():
+    equations = [{1: 0}] * 3 + [{0: 2, 1: -6}]
+    assert integer_solution(equations, 1, 2).tolist() == [[3]]
+
+
+def test_integer_solution_checks_equations_past_the_first_block():
+    """Every equation is checked, not only the pivot rows or the first chunk."""
+    equations = [{0: 1, 1: -3}] * (2 * B) + [{0: 1, 1: -4}]
+    assert integer_solution(equations, 1, 2) is None
+    assert integer_solution(equations[:-1], 1, 2).tolist() == [[3]]

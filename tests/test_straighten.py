@@ -23,6 +23,8 @@ from smtorus.straighten import (
     straighten_rows,
 )
 
+from test_linalg import _span_solution
+
 G1, G2, G3 = families.SPIN8_DEG1_ROWS
 W6 = families.family_index(6, 2)
 X = {i: families.x_tableau(i, 2) for i in range(1, 7)}
@@ -266,9 +268,79 @@ def test_contradictory_exchange_relation_is_an_error(monkeypatch):
         straighten._solve_content_class(sort_rows(((1, 4, 6, 7), (2, 3, 5, 8))), 4)
 
 
+RANK4_PAIR = sort_rows(((1, 4, 6, 7), (2, 3, 5, 8)))
+# the content class that the rank-8 pairs of the benchmark's interpolate pool reach
+RANK8_PAIR = sort_rows(((1, 4, 6, 7, 9, 12, 14, 15), (2, 3, 5, 8, 10, 11, 13, 16)))
+# the first of the three content classes that `reproduce spin8n --n 3` solves
+RANK12_PAIR = sort_rows(
+    (
+        (1, 5, 6, 7, 10, 12, 14, 16, 17, 21, 22, 23),
+        (2, 3, 4, 8, 11, 12, 15, 16, 18, 19, 20, 24),
+    )
+)
+
+
+@pytest.mark.parametrize("pair, n", [(RANK4_PAIR, 4), (RANK8_PAIR, 8)])
+def test_content_class_solve_matches_exact_elimination(monkeypatch, pair, n):
+    real = straighten.linalg.integer_solution
+    solved = []
+
+    def recording(equations, k, width):
+        x = real(equations, k, width)
+        solved.append((equations, k, width, x))
+        return x
+
+    monkeypatch.setattr(straighten.linalg, "integer_solution", recording)
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    straighten._solve_content_class(pair, n)
+    ((equations, k, width, x),) = solved
+    assert x.tolist() == _span_solution(equations, k, width)
+    memo = straighten._PAIR_MEMO
+    assert len(memo) == k and (n, pair) in memo
+    assert all(type(c) is Fraction and c for exp in memo.values() for c in exp.values())
+    if n == 4:
+        assert memo[(4, pair)] == {G1: 1, G2: -1, G3: 1}
+
+
+def test_rank12_content_class_evaluates_exactly(monkeypatch):
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    straighten._solve_content_class(RANK12_PAIR, 12)
+    rng = Random(12)
+    solved = sorted(pair for _, pair in straighten._PAIR_MEMO)
+    for pair in [RANK12_PAIR] + rng.sample(solved, 2):
+        exp = straighten._PAIR_MEMO[(12, pair)]
+        assert all(is_standard_rows(rows) for rows in exp)
+        pt = random_skew_point(12, rng, 1, 99991)
+        assert evaluate_rows(pair, pt) == evaluate_expansion(exp, pt)
+
+
+@pytest.mark.parametrize("wrong", [1, 3])
+def test_content_class_rejects_a_wrong_modular_answer(monkeypatch, wrong):
+    """A wrong inverse at the first primes fails the exact check."""
+    primes = straighten.linalg.PRIMES
+    inverse_mod = straighten.linalg.inverse_mod
+    used = []
+
+    def wrong_at_first_primes(mat, p):
+        used.append(p)
+        inv = inverse_mod(mat, p)
+        return (2 * inv) % p if p in primes[:wrong] else inv
+
+    monkeypatch.setattr(straighten.linalg, "inverse_mod", wrong_at_first_primes)
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    if wrong == len(primes):
+        with pytest.raises(straighten.ContentClassError, match="content class"):
+            straighten._solve_content_class(RANK4_PAIR, 4)
+        assert used == list(primes) and straighten._PAIR_MEMO == {}
+        return
+    straighten._solve_content_class(RANK4_PAIR, 4)
+    assert used == [primes[0], primes[1]]
+    assert straighten._PAIR_MEMO[(4, RANK4_PAIR)] == {G1: 1, G2: -1, G3: 1}
+
+
 def test_interpolation_skips_a_singular_prime_when_escalating(monkeypatch):
     """A failed verification moves on to the next prime the matrix is regular for."""
-    # rank 6, every value twice: 70 standard monomials, so the modular path
+    # rank 6, every value twice: 70 standard monomials
     rows = sort_rows(
         ((1, 2, 7, 8, 9, 10), (1, 4, 5, 6, 10, 11), (2, 3, 7, 8, 9, 12), (3, 4, 5, 6, 11, 12))
     )
@@ -289,5 +361,4 @@ def test_interpolation_skips_a_singular_prime_when_escalating(monkeypatch):
     monkeypatch.setattr(straighten, "_INTERP_CACHE", {})
     assert expand_by_interpolation(rows, 6) == straighten_rows(rows, 6)
     (ctx,) = straighten._INTERP_CACHE.values()
-    assert len(ctx.basis) > straighten._EXACT_LIMIT
     assert ctx.primes == [primes[0], primes[2]]
