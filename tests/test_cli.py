@@ -20,17 +20,28 @@ REPORT_SHA256 = {
     "spin8n --n 3": "e0aea75b804208c9e40f82a34d74c11b54f28663d0bfc1386465eef1e0f05b0e",
     "p-alpha1": "7d5593ae11ce59f62a736c6a248e7cc185fbfeb3e65cf0e1de3f512807c53fe8",
     "sp": "2c14f09e33aa75637951de7bae1efb24e4b6fc80e0b1eee271e804634f676e01",
+    "spin8 text": "413dac25a1ded66026d9317e1fb5f7dd07137878216319a611c5c2e40985c5a3",
+    "enumerate": "5aa14a1fc1027ff221983e4dcc825e9bcce8daf96b76409f16fb9fd0c7caab0d",
+    "straighten": "b8df5ef43341ed74317b820ad2d5208d562dd5882f26928e50ad05b8f16da9c3",
+    "hilbert": "861dab2e30cf1636e4e15d6021775a90c121a81975da6ed6bbce573157850662",
+    "hilbert csv": "2db69cc45a1b65ce0a006e2f9a54b4c80a79c9960c3595b00ec8f3ef470317c2",
+    "check-generation": "ed788f130ce32eef7e9fe9881564cfe59c1c34def18a1e15001288420d24c391",
+    "check-generation fails": "1d3335ad5835dfb0e915ea9e08fcbb4888b5f4652a4bd161bf8b5eab011cee37",
+    "relations": "31fa2f5c55b1c41619dece37eedb8cf51074043c44ac51f207e27a0bf5432a0b",
+    "diamond": "ddb0c1edfca5189f4858457cc35eee4812640ff9591c0bdcddba11b3d90e3b41",
+    "verify-pfaffian": "b6ab984f3fab4543faf99b43163a329ed24827960f3b5eb7ad6e1f804000fb88",
 }
 
 
-def report_sha256(tmp_path):
-    return hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+def report_sha256(tmp_path, name="report.json"):
+    return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
 
 def test_enumerate(tmp_path):
     code, rep = run(tmp_path, "enumerate", "--n", "4", "--w", "5,6,7,8", "--degree", "1")
     assert code == 0
     assert rep["results"]["count"] == 3
+    assert report_sha256(tmp_path) == REPORT_SHA256["enumerate"]
 
 
 def test_enumerate_omega_1(tmp_path):
@@ -46,6 +57,7 @@ def test_straighten(tmp_path):
     assert code == 0
     exp = rep["results"]["expansion"]
     assert [term["coeff"] for term in exp] == ["1", "-1", "1"]
+    assert report_sha256(tmp_path) == REPORT_SHA256["straighten"]
 
 
 def test_hilbert_json_and_identification(tmp_path):
@@ -53,6 +65,7 @@ def test_hilbert_json_and_identification(tmp_path):
     assert code == 0
     assert rep["results"]["hilbert"] == [1, 3, 6, 10]
     assert rep["results"]["identified"] == {"m": 2, "e": 1}
+    assert report_sha256(tmp_path) == REPORT_SHA256["hilbert"]
 
 
 def test_hilbert_csv(tmp_path):
@@ -63,6 +76,7 @@ def test_hilbert_csv(tmp_path):
     ])
     assert code == 0
     assert out.read_text() == "degree,dimension\n0,1\n1,2\n2,3\n3,4\n"
+    assert report_sha256(tmp_path, "h.csv") == REPORT_SHA256["hilbert csv"]
 
 
 def test_check_generation_exit_codes(tmp_path):
@@ -70,17 +84,20 @@ def test_check_generation_exit_codes(tmp_path):
         tmp_path, "check-generation", "--n", "4", "--w", "5,6,7,8", "--max-gen-degree", "1",
     )
     assert code == 0 and rep["ok"]
+    assert report_sha256(tmp_path) == REPORT_SHA256["check-generation"]
     code, rep = run(
         tmp_path, "check-generation", "--n", "8", "--w", "2,5,9,10,11,13,14,16",
         "--max-gen-degree", "1", "--max-degree", "2",
     )
     assert code == 1 and not rep["ok"]
+    assert report_sha256(tmp_path) == REPORT_SHA256["check-generation fails"]
 
 
 def test_relations(tmp_path):
     code, rep = run(tmp_path, "relations", "--n", "4", "--w", "3,4,7,8", "--degree", "2")
     assert code == 0
     assert rep["results"]["dimension"] == 0
+    assert report_sha256(tmp_path) == REPORT_SHA256["relations"]
 
 
 def test_diamond_named_system(tmp_path):
@@ -89,6 +106,7 @@ def test_diamond_named_system(tmp_path):
     assert rep["results"]["confluent"]
     assert rep["results"]["normal_form_counts"] == [1, 6, 15, 28, 45]
     assert rep["results"]["identified"] == [2, 2]
+    assert report_sha256(tmp_path) == REPORT_SHA256["diamond"]
 
 
 def test_diamond_from_file(tmp_path):
@@ -110,6 +128,7 @@ def test_diamond_broken_system_fails(tmp_path):
 def test_verify_pfaffian(tmp_path):
     code, rep = run(tmp_path, "verify-pfaffian", "--n", "5", "--trials", "3")
     assert code == 0 and rep["ok"]
+    assert report_sha256(tmp_path) == REPORT_SHA256["verify-pfaffian"]
 
 
 def test_reproduce_spin8(tmp_path):
@@ -118,6 +137,12 @@ def test_reproduce_spin8(tmp_path):
     assert all(c["ok"] for c in rep["claims"])
     assert "descent" in rep
     assert report_sha256(tmp_path) == REPORT_SHA256["spin8"]
+
+
+def test_reproduce_spin8_text(tmp_path):
+    code = main(["reproduce", "spin8", "--format", "text", "--out", str(tmp_path / "spin8.txt")])
+    assert code == 0
+    assert report_sha256(tmp_path, "spin8.txt") == REPORT_SHA256["spin8 text"]
 
 
 def test_reproduce_p_alpha1(tmp_path):
