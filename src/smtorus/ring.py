@@ -175,8 +175,6 @@ def check_generation(spec: RingSpec, max_gen_degree: int, generators=None, seed=
         bas = basis(spec, k)
         index = {t.rows: i for i, t in enumerate(bas)}
         span = linalg.Span(len(bas))
-        if k == 0:
-            span.add([Fraction(1)])
         for ms in _degree_multisets(degrees, k):
             exp = _expand([gens[j][1] for j in ms], spec, seed=seed)
             span.add(_coordinates(exp, index))

@@ -148,17 +148,13 @@ def _candidate_rewrites(pair, n):
         for key, c in merged.items():
             if key == target or c == 0:
                 continue
-            g = _row_pair(key, n)
+            g = sort_rows((index_from_bset(key[0], n), index_from_bset(key[1], n)))
             if not _comparable(g[0], g[1]) and not (g[1], g[0]) < pair_key:
                 descending = False
                 break
             companions.append((Fraction(-c, c0), g))
         if descending:
             yield companions
-
-
-def _row_pair(key, n) -> Rows:
-    return sort_rows((index_from_bset(key[0], n), index_from_bset(key[1], n)))
 
 
 def _merged_relation(s1, s2, x):
@@ -209,14 +205,18 @@ def _solve_content_class(pair, n) -> None:
     unknowns = [p for p in cls if not _comparable(p[0], p[1])]
     standards = [p for p in cls if _comparable(p[0], p[1])]
     k = len(unknowns)
-    col = {p: i for i, p in enumerate(unknowns + standards)}
+    # columns keyed like the merged relations' terms, by sorted B-subset pair
+    col = {
+        tuple(sorted((_bset(p[0], n), _bset(p[1], n)))): i
+        for i, p in enumerate(unknowns + standards)
+    }
     equations = []
     for p in unknowns:
         s1, s2 = _bset(p[0], n), _bset(p[1], n)
         for x in sorted(set(s1) ^ set(s2)):
             # distinct subset pairs are distinct row pairs, so no column repeats
             merged = _merged_relation(s1, s2, x)
-            equations.append({col[_row_pair(key, n)]: c for key, c in merged.items() if c})
+            equations.append({col[key]: c for key, c in merged.items() if c})
     x = linalg.integer_solution(equations, k, len(col))
     if x is None:
         raise ContentClassError(
@@ -464,14 +464,13 @@ def _factor_rows(factors):
     return sort_rows(rows), shape, n
 
 
-def expand_product(factors, w=None, method="auto", seed=0) -> Expansion:
+def expand_product(factors, w=None, seed=0) -> Expansion:
     """Coordinates of a product of standard tableaux over the standard basis.
 
     `factors` may be Tableau objects or bare row collections.  Single-column
-    products multiply by merging.  For grids, `method` picks the evaluation
-    route ("interpolate"), the exchange rewriting route ("symbolic"), or lets
-    the rank decide ("auto"); quadratic interpolations are cross-checked
-    against the symbolic route.
+    products multiply by merging.  Grids of rank at most 5 take the
+    evaluation route, with quadratic products cross-checked against the
+    exchange rewriting route; larger ranks take the rewriting route.
     """
     rows, shape, n = _factor_rows(factors)
     if not rows:
@@ -480,12 +479,8 @@ def expand_product(factors, w=None, method="auto", seed=0) -> Expansion:
         return {rows: Fraction(1)}
     if n is None:
         raise BasisMismatchError("cannot infer rank; pass Tableau factors")
-    if method == "auto":
-        method = "interpolate" if n <= 5 else "symbolic"
-    if method == "symbolic":
+    if n > 5:
         return straighten_rows(rows, n, w=w)
-    if method != "interpolate":
-        raise StraightenError(f"unknown method {method!r}")
     exp = expand_by_interpolation(rows, n, seed=seed, w=w)
     if len(rows) == 4:
         sym = straighten_rows(rows, n, w=w)

@@ -201,11 +201,10 @@ class _ProfileDP:
     A coordinate row with negated set S has profile a_v = |S intersect [1..v]|,
     and rows compare componentwise exactly when their profiles do.  Processing
     positions t = 1..n, the state is the list of blocks of rows sharing the
-    same negated prefix, ordered by dominance, with slots split by the parity
-    of |S| (which must come out even).  One successor generator serves both
-    walks: `count` runs it on block lengths alone and never lists a chain,
-    and `walk` runs it on the same lengths, then gives each piece its negated
-    set back.  The exact count prunes the listing, so every branch `walk`
+    same negated prefix, ordered by dominance, each with its number of slots
+    (rows).  One successor generator serves both walks: `count` runs it on
+    block lengths alone and never lists a chain, and `walk` runs it on the
+    same lengths, then gives each piece its negated set back.  The exact count prunes the listing, so every branch `walk`
     enters ends in at least one chain.  The count memo lives on the instance,
     so each query starts empty.
     """
@@ -234,22 +233,22 @@ class _ProfileDP:
 
     def walk(self):
         out: list = []
-        self._walk(0, (((), self.num_rows, 0),), out)
+        self._walk(0, (((), self.num_rows),), out)
         return sorted(out)
 
     def _walk(self, t, blocks, out):
         if t == self.n:
             chain = []
-            for neg, e, _ in blocks:
-                chain += [self._row(neg)] * e
+            for neg, k in blocks:
+                chain += [self._row(neg)] * k
             out.append(tuple(chain))
             return
-        lens = tuple((len(neg), e, o) for neg, e, o in blocks)
+        lens = tuple((len(neg), k) for neg, k in blocks)
         for nxt in self._successors(t, lens):
             if t + 1 < self.n:
                 live = self._count(t + 1, nxt)
             else:
-                live = not any(o for _, _, o in nxt)
+                live = not any(a % 2 for a, _ in nxt)
             if live:
                 self._walk(t + 1, self._sets(t, blocks, nxt), out)
 
@@ -257,27 +256,29 @@ class _ProfileDP:
     def _sets(t, blocks, pieces):
         """Give each length piece after step t the negated set of its block.
 
-        A block's pieces come in order and use up its e + o slots; its kept
-        piece has the block's length and its promoted piece one more, so the
-        length alone tells which of them gained t + 1.
+        A block's pieces come in order and use up its slots; its kept piece
+        has the block's length and its promoted piece one more, so the length
+        alone tells which of them gained t + 1.
         """
         out = []
         it = iter(pieces)
-        for neg, e, o in blocks:
-            left = e + o
+        for neg, left in blocks:
             while left:
-                a, pe, po = next(it)
-                out.append((neg if a == len(neg) else neg + (t + 1,), pe, po))
-                left -= pe + po
+                a, k = next(it)
+                out.append((neg if a == len(neg) else neg + (t + 1,), k))
+                left -= k
         return tuple(out)
 
     def count(self) -> int:
         """Number of chains `walk` lists, counted without listing them.
 
-        The count is memoized on (t, ((len(S), e, o) for each block)), which
-        forgets the negated sets themselves.  That loses nothing: at step t a
-        promoted block gains t + 1, larger than every element already in any
-        negated set.  So among the pieces one step produces, a block's kept
+        The count is memoized on (t, ((len(S), slots) for each block)), which
+        forgets the negated sets themselves.  Parity needs no entry of its
+        own: every row of a block has negated exactly the block's prefix so
+        far, so the parity of its |S|, which must come out even, is the parity
+        of the block's length, and the slots of a block all share it.  Nor
+        are the sets needed: at step t a promoted block gains t + 1, larger
+        than every element already in any negated set.  So among the pieces one step produces, a block's kept
         piece sits below its own promoted piece and below every piece of the
         next block, a promoted piece sits below the next block's promoted
         piece, and a promoted piece of length a + 1 sits below the next
@@ -287,7 +288,7 @@ class _ProfileDP:
         never merge: the key holds one entry per block of `walk`, and
         adjacent blocks of equal length stay separate in it.
         """
-        return self._count(0, ((0, self.num_rows, 0),))
+        return self._count(0, ((0, self.num_rows),))
 
     def _count(self, t, blocks) -> int:
         if t == self.n - 1:
@@ -303,14 +304,14 @@ class _ProfileDP:
         """Count (0 or 1) for the last step, which has one candidate choice.
 
         Every |S| must come out even, so the last step promotes exactly the
-        odd slots.  The slots of a block share the parity of its length, so
-        blocks of equal length all promote or all keep and stay in order;
-        only the number of odd slots and the bound for X(w) remain to check.
+        blocks of odd length.  Blocks of equal length all promote or all keep
+        and stay in order; only the number of odd slots and the bound for
+        X(w) remain to check.
         """
         bound = self.w_prefix[-1]
         return int(
-            sum(o for _, _, o in blocks) == self.h[-1]
-            and all(a < bound for a, _, o in blocks if o)
+            sum(k for a, k in blocks if a % 2) == self.h[-1]
+            and all(a < bound for a, _ in blocks if a % 2)
         )
 
     def _successors(self, t, blocks):
@@ -325,8 +326,8 @@ class _ProfileDP:
         bound = self.w_prefix[t]
         cap = [0] * (len(blocks) + 1)
         for i in range(len(blocks) - 1, -1, -1):
-            a, e, o = blocks[i]
-            cap[i] = cap[i + 1] + (e + o if a < bound else 0)
+            a, k = blocks[i]
+            cap[i] = cap[i + 1] + (k if a < bound else 0)
         out = []
         pieces = []
 
@@ -336,20 +337,18 @@ class _ProfileDP:
             if i == len(blocks):
                 out.append(tuple(pieces))
                 return
-            a, e, o = blocks[i]
-            most = min(e + o, remaining)
-            for pe in range(min(e, most) + 1):
-                for po in range(min(o, most - pe) + 1):
-                    kept = e + o - pe - po
-                    if kept and prev > a:
-                        continue
-                    depth = len(pieces)
-                    if kept:
-                        pieces.append((a, e - pe, o - po))
-                    if pe or po:
-                        pieces.append((a + 1, po, pe))
-                    go(i + 1, remaining - pe - po, a + 1 if pe or po else a)
-                    del pieces[depth:]
+            a, k = blocks[i]
+            for promoted in range(min(k, remaining) + 1):
+                kept = k - promoted
+                if kept and prev > a:
+                    continue
+                depth = len(pieces)
+                if kept:
+                    pieces.append((a, kept))
+                if promoted:
+                    pieces.append((a + 1, promoted))
+                go(i + 1, remaining - promoted, a + 1 if promoted else a)
+                del pieces[depth:]
 
         go(0, self.h[t], 0)
         return out

@@ -38,7 +38,6 @@ __all__ = [
     "coset_rep_to_weyl",
     "top_coset_rep",
     "two_omega_n",
-    "two_omega_1",
     "apply_to_weight",
     "nonpositivity_certificate",
     "is_dominant_nonpositive",
@@ -261,11 +260,6 @@ def top_coset_rep(n: int) -> IndexVector:
 def two_omega_n(n: int) -> Weight:
     """Twice the last fundamental weight of type D: e_1 + ... + e_n."""
     return tuple(Fraction(1) for _ in range(n))
-
-
-def two_omega_1(n: int) -> Weight:
-    """Twice the first fundamental weight: 2 e_1."""
-    return (Fraction(2),) + tuple(Fraction(0) for _ in range(n - 1))
 
 
 def apply_to_weight(w: WeylElement, weight) -> Weight:
