@@ -15,6 +15,7 @@ from smtorus.cli import main  # noqa: E402
 PRESETS = [
     ["reproduce", "spin8"],
     ["reproduce", "spin8n", "--n", "2"],
+    ["reproduce", "spin8n", "--n", "3"],
     ["reproduce", "p-alpha1"],
     ["reproduce", "sp"],
 ]

@@ -8,13 +8,17 @@ it is pinned by golden tests on the rank-4 straightening identity.
 
 The dictionary between Grassmannian index vectors and subsets (the "dual
 pair") makes each transversal index vector i with evenly many entries above n
-a coordinate function q_i = P(B) on the space of skew matrices.
+a coordinate function q_i = P(B) on the space of skew matrices.  A skew
+point keeps integer numerators over one common denominator, so the Pfaffian
+recursion runs on Python ints; `schubert_point` draws rational points of a
+Schubert variety in the chart around e_1..e_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .linalg import frac_det
@@ -28,6 +32,7 @@ __all__ = [
     "SkewPoint",
     "skew_point",
     "random_skew_point",
+    "schubert_point",
     "skew_point_to_json",
     "skew_point_from_json",
     "skew_determinant",
@@ -63,11 +68,19 @@ class EvenCardinalityError(PfaffianError):
 
 @dataclass
 class SkewPoint:
-    """A rational skew-symmetric matrix given by its strictly upper entries."""
+    """A rational skew-symmetric matrix given by its strictly upper entries.
+
+    `upper` holds the rational entries.  `num` holds their integer numerators
+    over one positive common denominator `den`, so a sub-Pfaffian on 2m
+    members is the Pfaffian of the numerators over ``den**m``; the recursion
+    and its memo `_cache` hold Python ints only.
+    """
 
     n: int
     upper: dict[tuple[int, int], Fraction]
-    _cache: dict[Subset, Fraction] = field(default_factory=dict, repr=False)
+    num: dict[tuple[int, int], int] = field(repr=False)
+    den: int = 1
+    _cache: dict[Subset, int] = field(default_factory=dict, repr=False)
 
     def entry(self, i: int, j: int) -> Fraction:
         if i == j:
@@ -83,13 +96,89 @@ def skew_point(n: int, upper) -> SkewPoint:
         if not (1 <= i < j <= n):
             raise PfaffianError(f"bad upper index ({i}, {j}) for size {n}")
         clean[(i, j)] = Fraction(v)
-    return SkewPoint(n, clean)
+    den = lcm(*(v.denominator for v in clean.values()))
+    num = {key: v.numerator * (den // v.denominator) for key, v in clean.items()}
+    return SkewPoint(n, clean, num, den)
 
 
 def random_skew_point(n: int, rng: Random, low: int = 1, high: int = 10**6) -> SkewPoint:
     return skew_point(
         n, {(i, j): rng.randint(low, high) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     )
+
+
+def _borel_rows(w: IndexVector, n: int, rng: Random, high: int = 10**6) -> list[list[int]]:
+    """Basis rows of b.e_w for a random b = prod (I + t E_beta) in the Borel subgroup.
+
+    The product runs over the n(n-1) positive-root vectors of the orthogonal
+    group of the form pairing e_i with e_{2n+1-i}: E_{i,j} - E_{2n+1-j,2n+1-i}
+    and E_{i,2n+1-j} - E_{j,2n+1-i} for i < j <= n, each with t in [1, high].
+    Every such vector squares to zero and is upper triangular, so each factor
+    is an upper unipotent isometry, and the row space is a point of the
+    Schubert cell of w.  The rows are columns w_1..w_n of b.
+    """
+    m = 2 * n
+    cols = [[int(r == c - 1) for r in range(m)] for c in w]
+    roots = [(i, j, m + 1 - j, m + 1 - i) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    roots += [(i, m + 1 - j, j, m + 1 - i) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    # b.e_w = F_1 (F_2 (... F_k e_w)): apply the last factor first; no row
+    # that a factor reads is also one it writes, so each update is in place
+    for a, b, c, d in reversed(roots):
+        t = rng.randint(1, high)
+        for col in cols:
+            col[a - 1] += t * col[b - 1]
+            col[c - 1] -= t * col[d - 1]
+    return cols
+
+
+def _chart(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Integer X and d != 0 with [I | X/d] row-equivalent to the n x 2n matrix [L | R].
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays a
+    minor of the input, each division is exact, and the matrix ends as
+    [d I | adj(L) R] with d = +-det L.  Row swaps permute L and R alike,
+    so X/d = L^{-1} R.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise PfaffianError("the point lies off the chart around e_1..e_n")
+        a[k], a[piv] = a[piv], a[k]
+        top, akk = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                row, aik = a[i], a[i][k]
+                a[i] = [(akk * x - aik * y) // prev for x, y in zip(row, top)]
+        prev = akk
+    return [r[n:] for r in a], prev
+
+
+def schubert_point(w: IndexVector, n: int, rng: Random) -> SkewPoint:
+    """A random rational point of the Schubert variety X(w), as a skew matrix.
+
+    The point b.e_w (see `_borel_rows`) lies in the cell around e_1..e_n,
+    which meets X(w) densely; reduced to [I | M] it is the skew matrix
+    A_{t,s} = M_{t,2n+1-s}.  Standard monomial theory then gives
+    q_tau(A) = 0 exactly when tau is not below w.
+
+    >>> pt = schubert_point((2, 4, 6, 8), 4, Random(0))
+    >>> q_eval((3, 4, 7, 8), pt), q_eval((2, 4, 6, 8), pt) != 0
+    (Fraction(0, 1), True)
+    """
+    x, d = _chart(_borel_rows(tuple(w), n, rng))
+    # column 2n+1-s of [I | M] is column n-s (from 0) of X
+    upper = {}
+    for t in range(1, n + 1):
+        for s in range(t, n + 1):
+            a, b = x[t - 1][n - s], x[s - 1][n - t]
+            if a != -b:
+                raise PfaffianError(f"b.e_{tuple(w)} is not isotropic")
+            if s > t:
+                upper[(t, s)] = Fraction(a, d)
+    return skew_point(n, upper)
 
 
 def skew_point_to_json(point: SkewPoint) -> dict:
@@ -120,13 +209,13 @@ def sub_pfaffian(point: SkewPoint, members) -> Fraction:
     s = tuple(sorted(members))
     if any(not 1 <= v <= point.n for v in s) or len(set(s)) != len(s):
         raise PfaffianError(f"subset {s} not within 1..{point.n}")
-    return Fraction(_pf(point.upper, s, point._cache))
+    return Fraction(_pf(point.num, s, point._cache), point.den ** (len(s) // 2))
 
 
 def _pf(upper, members: Subset, cache: dict, p: int | None = None):
     """Pfaffian on the sorted `members` by first-row expansion, memoized in `cache`.
 
-    `upper` maps (i, j) with i < j to the entry.  With a modulus p the
+    `upper` maps (i, j) with i < j to an integer entry.  With a modulus p the
     entries are residues mod p and so is the value.
     """
     if len(members) % 2:
@@ -138,11 +227,11 @@ def _pf(upper, members: Subset, cache: dict, p: int | None = None):
         return val
     first, rest = members[0], members[1:]
     total = 0
-    for t, j in enumerate(rest, start=2):
+    for k, j in enumerate(rest):
         a = upper.get((first, j))
         if a:
-            term = a * _pf(upper, tuple(v for v in rest if v != j), cache, p)
-            total += term if t % 2 == 0 else -term
+            term = a * _pf(upper, rest[:k] + rest[k + 1 :], cache, p)
+            total += -term if k % 2 else term
     if p is not None:
         total %= p
     cache[members] = total
@@ -155,7 +244,7 @@ def pfaffian(point: SkewPoint) -> Fraction:
     >>> pfaffian(skew_point(2, {(1, 2): 7}))
     Fraction(7, 1)
     """
-    return Fraction(_pf(point.upper, tuple(range(1, point.n + 1)), point._cache))
+    return sub_pfaffian(point, range(1, point.n + 1))
 
 
 def matching_sum_pfaffian(point: SkewPoint, members=None) -> Fraction:

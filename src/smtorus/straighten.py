@@ -17,10 +17,15 @@ may be interleaved with the rewriting.
 
 An independent evaluation route expands products by interpolation: the
 standard monomials sharing the content of the product are evaluated at random
-skew matrices and the coordinates solved for modulo primes below 2^21
+points and the coordinates solved for modulo primes below 2^21
 (``linalg.PRIMES``, whose residue products are exact in float64); the
 reconstructed expansion is then re-verified by exact evaluation at fresh
-points.
+points.  A restricted product is interpolated on the Schubert variety X(w)
+itself, at ``pfaffian.schubert_point``s, over the restricted standard
+monomials only (22 for a degree-2 product on X(W6) at rank 8); only an
+unrestricted product takes the whole space, at random skew matrices, where
+the rank-8 degree-2 class needs a dense 1162x1162 inverse.  The two routes
+share no restriction step, so comparing them checks restriction.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ import numpy as np
 from . import linalg
 from .pfaffian import (
     _pf,
+    SkewPoint,
     dual_pair,
     index_from_bset,
     exchange_relation,
     q_eval,
-    skew_point,
+    random_skew_point,
+    schubert_point,
 )
 from .tableau import Tableau, standard_chains
 from .weyl import IndexVector, bruhat_leq, minimal_coset_reps_alpha_n, top_coset_rep
@@ -335,17 +342,27 @@ def evaluate_expansion(exp: Expansion, point) -> Fraction:
 
 
 class _Interpolator:
-    """Evaluation-basis context for one (rank, content) class, reused per seed."""
+    """Evaluation-basis context for one (rank, content, X(w)) class, reused per seed.
 
-    def __init__(self, n, num_rows, content, seed):
-        self.n = n
-        self.qrows = minimal_coset_reps_alpha_n(n)
+    With w None the class lives on the whole space: every coordinate row is
+    evaluated at random integer skew matrices.  Otherwise it lives on X(w):
+    the points are `schubert_point`s, only the rows below w are evaluated, and
+    the basis is the restricted standard monomials, which are a basis of the
+    coordinate ring of X(w) (Lakshmibai-Seshadri).
+    """
+
+    def __init__(self, n, num_rows, content, seed, w=None):
+        self.n, self.w = n, w
+        self.qrows = [
+            r for r in minimal_coset_reps_alpha_n(n) if w is None or bruhat_leq(r, w)
+        ]
         self.row_index = {r: i for i, r in enumerate(self.qrows)}
-        self.bsets = {r: _bset(r, n) for r in self.qrows}
-        self.basis = standard_chains(n, num_rows, content, top_coset_rep(n))
+        self.bsets = [_bset(r, n) for r in self.qrows]
+        self.basis = standard_chains(n, num_rows, content, w or top_coset_rep(n))
         if not self.basis:
             raise BasisMismatchError("no standard monomials with the product's content")
-        self.rng = Random(f"interp:{seed}:{n}:{num_rows}:{sorted(content.items())}")
+        place = "" if w is None else f":{w}"
+        self.rng = Random(f"interp:{seed}:{n}:{num_rows}:{sorted(content.items())}{place}")
         self.chain_idx = np.array(
             [[self.row_index[r] for r in chain] for chain in self.basis], dtype=np.int64
         )
@@ -353,7 +370,7 @@ class _Interpolator:
         # failed verification escalates to further primes over the same points,
         # skipping any prime the evaluation matrix is singular for
         for _ in range(5):
-            self.points = self._draw_points(len(self.basis))
+            self.points = [self._draw_point() for _ in self.basis]
             self.next_prime, self.primes, self.mod_inverses, self.mod_qmats = 0, [], [], []
             if self._add_prime():
                 return
@@ -361,30 +378,29 @@ class _Interpolator:
             f"singular evaluation matrix after 5 resamples ({len(self.basis)} monomials)"
         )
 
-    def _draw_points(self, count):
-        pts = []
-        for _ in range(count):
-            upper = {
-                (i, j): self.rng.randint(1, 10**6)
-                for i in range(1, self.n + 1)
-                for j in range(i + 1, self.n + 1)
-            }
-            pts.append(upper)
-        return pts
+    def _draw_point(self) -> SkewPoint:
+        if self.w is None:
+            return random_skew_point(self.n, self.rng)
+        return schubert_point(self.w, self.n, self.rng)
 
-    def _q_vector_mod(self, upper, p):
-        entries = {k: v % p for k, v in upper.items()}
+    def _q_vector_mod(self, point, p):
+        """The evaluated rows mod p, or None when p divides the point's denominator."""
+        if point.den % p == 0:
+            return None
+        entries = {k: v % p for k, v in point.num.items()}
+        scale = [pow(point.den, -m, p) for m in range(self.n // 2 + 1)]
         cache: dict = {}
-        return [_pf(entries, self.bsets[r], cache, p) for r in self.qrows]
+        return [_pf(entries, b, cache, p) * scale[len(b) // 2] % p for b in self.bsets]
 
     def _add_prime(self) -> bool:
         """Invert the evaluation matrix modulo the next prime it is regular for."""
         while self.next_prime < len(linalg.PRIMES):
             p = linalg.PRIMES[self.next_prime]
             self.next_prime += 1
-            qmat = np.zeros((len(self.points), len(self.qrows)), dtype=np.int64)
-            for s, upper in enumerate(self.points):
-                qmat[s] = self._q_vector_mod(upper, p)
+            rows = [self._q_vector_mod(point, p) for point in self.points]
+            if None in rows:
+                continue
+            qmat = np.array(rows, dtype=np.int64)
             inv = linalg.inverse_mod(linalg.products_mod(qmat, self.chain_idx, p), p)
             if inv is not None:
                 self.primes.append(p)
@@ -420,8 +436,7 @@ class _Interpolator:
 
     def _verify(self, rows, exp: Expansion, trials: int = 3) -> bool:
         for _ in range(trials):
-            upper = self._draw_points(1)[0]
-            pt = skew_point(self.n, upper)
+            pt = self._draw_point()
             if evaluate_rows(rows, pt) != evaluate_expansion(exp, pt):
                 return False
         return True
@@ -430,22 +445,33 @@ class _Interpolator:
 _INTERP_CACHE: dict = {}
 
 
-def _interpolator(n, num_rows, content, seed) -> _Interpolator:
-    key = (n, num_rows, tuple(sorted(content.items())), seed)
+def _interpolator(n, num_rows, content, seed, w) -> _Interpolator:
+    key = (n, num_rows, tuple(sorted(content.items())), seed, w)
     ctx = _INTERP_CACHE.get(key)
     if ctx is None:
-        ctx = _Interpolator(n, num_rows, content, seed)
+        ctx = _Interpolator(n, num_rows, content, seed, w)
         _INTERP_CACHE[key] = ctx
     return ctx
 
 
 def expand_by_interpolation(rows, n, seed=0, w=None) -> Expansion:
-    """Full-space standard expansion by exact evaluation, optionally restricted."""
+    """Standard expansion by exact evaluation, on the Schubert variety X(w) if w is given.
+
+    Restricted to X(w), the expansion is the full-space one less its terms
+    with a row not below w, since those rows vanish on X(w) and the
+    restricted standard monomials are independent there; a product with
+    such a row is 0.
+    """
     rows = sort_rows(rows)
-    exp = _interpolator(n, len(rows), content_of(rows, n), seed).expand(rows)
+    for r in rows:
+        _bset(r, n)
     if w is not None:
-        exp = restrict_expansion(exp, w)
-    return exp
+        w = tuple(w)
+        if w == top_coset_rep(n):
+            w = None
+        elif not all(bruhat_leq(r, w) for r in rows):
+            return {}
+    return _interpolator(n, len(rows), content_of(rows, n), seed, w).expand(rows)
 
 
 def _factor_rows(factors):

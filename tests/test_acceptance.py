@@ -34,6 +34,7 @@ from smtorus.straighten import (
     evaluate_rows,
     expand_by_interpolation,
     expand_product,
+    restrict_expansion,
     straighten_pair,
     straighten_rows,
 )
@@ -214,10 +215,27 @@ def test_criterion_8_property_suite():
     for b1, b2 in combinations_with_replacement(reps4, 2):
         assert expand_by_interpolation((b1, b2), 4, seed=0) == straighten_rows((b1, b2), 4)
 
-    # path agreement: every quadratic product of the degree-1 basis, restricted
+    # path agreement: every quadratic product of the degree-1 basis, interpolated
+    # on X(W6) itself (22 restricted standard monomials per product)
     for i, j in combinations_with_replacement(range(1, 7), 2):
         rows = X[i].rows + X[j].rows
         assert expand_by_interpolation(rows, 8, seed=0, w=W6) == straighten_rows(rows, 8, w=W6)
+
+    # ...and one of them on the whole space (the 1162-monomial class), then restricted
+    rows = X[2].rows + X[5].rows
+    full = expand_by_interpolation(rows, 8, seed=0)
+    assert len(full) > 3
+    restricted = straighten_rows(rows, 8, w=W6)
+    assert len(restricted) == 3
+    assert restrict_expansion(full, W6) == expand_by_interpolation(rows, 8, seed=0, w=W6)
+    assert restrict_expansion(full, W6) == restricted
+
+    # path agreement at rank 12, where the full-space class is too large to interpolate
+    w12 = families.family_index(6, 3)
+    x12 = {i: families.x_tableau(i, 3) for i in range(1, 7)}
+    for i, j in combinations_with_replacement(range(1, 7), 2):
+        rows = x12[i].rows + x12[j].rows
+        assert expand_by_interpolation(rows, 12, seed=0, w=w12) == straighten_rows(rows, 12, w=w12)
 
     # dual-pair dictionaries round-trip exhaustively through rank 4
     for n in (2, 3, 4):

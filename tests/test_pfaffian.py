@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smtorus.linalg import PRIMES
+from smtorus import families
+from smtorus.linalg import PRIMES, Span
 from smtorus.pfaffian import (
+    _borel_rows,
+    _chart,
     _pf,
     AsymmetricDualPairError,
     EvenCardinalityError,
@@ -20,12 +23,14 @@ from smtorus.pfaffian import (
     pfaffian,
     q_eval,
     random_skew_point,
+    schubert_point,
     skew_determinant,
     skew_point,
     skew_point_from_json,
     skew_point_to_json,
     sub_pfaffian,
 )
+from smtorus.weyl import bruhat_leq, minimal_coset_reps_alpha_n, top_coset_rep
 
 
 def test_two_by_two_base_case():
@@ -202,3 +207,89 @@ def test_skew_point_json_roundtrip():
     pt = skew_point(3, {(1, 2): Fraction(1, 3), (2, 3): -4})
     back = skew_point_from_json(skew_point_to_json(pt))
     assert back.n == 3 and back.upper == pt.upper
+
+
+def _rational_points(max_n):
+    """Skew points of size 2..max_n whose entries are a / b with mixed and negative b."""
+    ratio = st.builds(
+        Fraction,
+        st.integers(-60, 60),
+        st.integers(-15, 15).filter(bool),
+    )
+    return st.integers(2, max_n).flatmap(
+        lambda n: st.lists(
+            ratio, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+        ).map(
+            lambda vals: skew_point(
+                n,
+                dict(zip([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)], vals)),
+            )
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_points(6))
+def test_integer_numerators_match_rational_oracles(pt):
+    """The integer recursion against Fraction matchings and a Span determinant."""
+    n = pt.n
+    assert pt.den > 0
+    assert all(Fraction(pt.num[key], pt.den) == v for key, v in pt.upper.items())
+    assert all(type(v) is int for v in pt.num.values())
+    for size in range(0, n + 1):
+        for sub in combinations(range(1, n + 1), size):
+            assert sub_pfaffian(pt, sub) == matching_sum_pfaffian(pt, sub)
+    assert pfaffian(pt) ** 2 == skew_determinant(pt)
+    assert all(type(v) is int for v in pt._cache.values())
+
+
+def _fraction_chart(rows):
+    """The right block of the reduced row echelon form, by Span's Fraction elimination."""
+    n = len(rows)
+    span = Span(2 * n)
+    for r in rows:
+        span.add(r)
+    assert list(span.pivots) == list(range(n))
+    return [span.pivots[k][n:] for k in range(n)]
+
+
+W6 = families.family_index(6, 2)
+SCHUBERT_CASES = [
+    (4, (1, 2, 3, 4)),
+    (4, (2, 4, 6, 8)),
+    (4, (3, 4, 7, 8)),
+    (4, top_coset_rep(4)),
+    (8, tuple(range(1, 9))),
+    (8, families.family_index(1, 2)),
+    (8, W6),
+    (8, top_coset_rep(8)),
+]
+
+
+@pytest.mark.parametrize("n, w", SCHUBERT_CASES)
+def test_borel_rows_and_chart(n, w):
+    """b.e_w is an isotropic point of the cell of w; its chart is skew and exact."""
+    rng = Random(f"borel:{n}:{w}")
+    rows = _borel_rows(w, n, rng)
+    m = 2 * n
+    for k, (row, c) in enumerate(zip(rows, w)):
+        # column c of an upper unipotent matrix
+        assert row[c - 1] == 1 and not any(row[c:])
+        for other in rows[k:]:
+            assert sum(row[i] * other[m - 1 - i] for i in range(m)) == 0
+    x, den = _chart(rows)
+    assert [[Fraction(v, den) for v in r] for r in x] == _fraction_chart(rows)
+    # A_{t,s} = M_{t,2n+1-s} is skew
+    a = [[Fraction(x[t][n - 1 - s], den) for s in range(n)] for t in range(n)]
+    assert all(a[t][s] == -a[s][t] for t in range(n) for s in range(n))
+
+
+@pytest.mark.parametrize("n, w", SCHUBERT_CASES)
+def test_schubert_point_is_cut_out_by_the_rows_not_below_w(n, w):
+    """q_tau vanishes at a point of X(w) exactly when tau is not below w."""
+    rng = Random(f"schubert:{n}:{w}")
+    for _ in range(2):
+        pt = schubert_point(w, n, rng)
+        assert pt.den > 0 and len(pt.upper) == n * (n - 1) // 2
+        for tau in minimal_coset_reps_alpha_n(n):
+            assert (q_eval(tau, pt) == 0) == (not bruhat_leq(tau, w)), tau

@@ -3,9 +3,11 @@ from itertools import combinations, combinations_with_replacement
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smtorus import families, straighten, weyl
-from smtorus.pfaffian import index_from_bset, random_skew_point
+from smtorus.pfaffian import index_from_bset, q_eval, random_skew_point, skew_point
 from smtorus.straighten import (
     FuelExhaustedError,
     NotAPfaffianIndexError,
@@ -101,6 +103,7 @@ def test_restriction_by_bottom_kills_everything():
     w1 = families.family_index(1, 2)
     exp = straighten_rows(X[4].rows + X[5].rows, 8, w=w1)
     assert exp == {}
+    assert expand_by_interpolation(X[4].rows + X[5].rows, 8, w=w1) == {}
 
 
 def test_degree3_products_collapse_to_single_tableaux():
@@ -362,3 +365,71 @@ def test_interpolation_skips_a_singular_prime_when_escalating(monkeypatch):
     assert expand_by_interpolation(rows, 6) == straighten_rows(rows, 6)
     (ctx,) = straighten._INTERP_CACHE.values()
     assert ctx.primes == [primes[0], primes[2]]
+
+
+def test_restricted_interpolation_lives_on_the_schubert_variety(monkeypatch):
+    """On X(W6) the class has 22 monomials and evaluates only the rows below W6."""
+    monkeypatch.setattr(straighten, "_INTERP_CACHE", {})
+    rows = X[4].rows + X[5].rows
+    assert expand_by_interpolation(rows, 8, w=W6) == straighten_rows(rows, 8, w=W6)
+    ((key, ctx),) = straighten._INTERP_CACHE.items()
+    assert key[-1] == W6 and len(ctx.basis) == 22
+    assert ctx.qrows == [r for r in weyl.minimal_coset_reps_alpha_n(8) if weyl.bruhat_leq(r, W6)]
+    assert all(pt.den > 1 for pt in ctx.points)
+    # the top index is the whole space: the full-space route, keyed as such
+    top = weyl.top_coset_rep(4)
+    assert expand_by_interpolation(G2 + G3, 4, w=top) == expand_by_interpolation(G2 + G3, 4)
+    assert [key[-1] for key in straighten._INTERP_CACHE] == [W6, None]
+
+
+def _residue(value: Fraction, p: int) -> int:
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+RANK4_CONTEXT = straighten._Interpolator(4, 2, straighten.content_of(G1, 4), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(-99, 99), st.integers(-40, 40).filter(bool)),
+        min_size=6,
+        max_size=6,
+    ),
+    st.sampled_from(straighten.linalg.PRIMES + (101, 7)),
+)
+def test_q_vector_mod_reduces_the_exact_values(entries, p):
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    pt = skew_point(4, dict(zip(pairs, entries)))
+    got = RANK4_CONTEXT._q_vector_mod(pt, p)
+    if pt.den % p == 0:
+        assert got is None
+    else:
+        assert got == [_residue(q_eval(r, pt), p) for r in RANK4_CONTEXT.qrows]
+
+
+def test_a_prime_dividing_a_point_denominator_is_skipped(monkeypatch):
+    """A point with den = 0 mod p gives no residues mod p; the next prime is used."""
+    p = straighten.linalg.PRIMES[0]
+    pt = skew_point(4, {(1, 2): Fraction(1, p), (3, 4): 5})
+    assert RANK4_CONTEXT._q_vector_mod(pt, p) is None
+    assert RANK4_CONTEXT._q_vector_mod(pt, straighten.linalg.PRIMES[1]) is not None
+
+    draw = straighten._Interpolator._draw_point
+    drawn = []
+
+    def first_over_p(self):
+        point = draw(self)
+        drawn.append(point)
+        if len(drawn) > 1:
+            return point
+        return skew_point(self.n, {key: v / p for key, v in point.upper.items()})
+
+    monkeypatch.setattr(straighten._Interpolator, "_draw_point", first_over_p)
+    monkeypatch.setattr(straighten, "_INTERP_CACHE", {})
+    rows = sort_rows(((1, 4, 6, 7), (2, 3, 5, 8)))
+    w = (3, 4, 7, 8)
+    assert expand_by_interpolation(rows, 4, w=w) == straighten_rows(rows, 4, w=w)
+    (ctx,) = straighten._INTERP_CACHE.values()
+    assert ctx.points[0].den % p == 0
+    assert ctx.primes == [straighten.linalg.PRIMES[1]]
