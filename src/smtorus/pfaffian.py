@@ -78,9 +78,13 @@ class SkewPoint:
 
     n: int
     upper: dict[tuple[int, int], Fraction]
-    num: dict[tuple[int, int], int] = field(repr=False)
-    den: int = 1
     _cache: dict[Subset, int] = field(default_factory=dict, repr=False)
+    num: dict[tuple[int, int], int] = field(init=False, repr=False)
+    den: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.den = lcm(*(v.denominator for v in self.upper.values()))
+        self.num = {key: v.numerator * (self.den // v.denominator) for key, v in self.upper.items()}
 
     def entry(self, i: int, j: int) -> Fraction:
         if i == j:
@@ -96,9 +100,7 @@ def skew_point(n: int, upper) -> SkewPoint:
         if not (1 <= i < j <= n):
             raise PfaffianError(f"bad upper index ({i}, {j}) for size {n}")
         clean[(i, j)] = Fraction(v)
-    den = lcm(*(v.denominator for v in clean.values()))
-    num = {key: v.numerator * (den // v.denominator) for key, v in clean.items()}
-    return SkewPoint(n, clean, num, den)
+    return SkewPoint(n, clean)
 
 
 def random_skew_point(n: int, rng: Random, low: int = 1, high: int = 10**6) -> SkewPoint:
@@ -107,12 +109,12 @@ def random_skew_point(n: int, rng: Random, low: int = 1, high: int = 10**6) -> S
     )
 
 
-def _borel_rows(w: IndexVector, n: int, rng: Random, high: int = 10**6) -> list[list[int]]:
+def _borel_rows(w: IndexVector, n: int, rng: Random) -> list[list[int]]:
     """Basis rows of b.e_w for a random b = prod (I + t E_beta) in the Borel subgroup.
 
     The product runs over the n(n-1) positive-root vectors of the orthogonal
     group of the form pairing e_i with e_{2n+1-i}: E_{i,j} - E_{2n+1-j,2n+1-i}
-    and E_{i,2n+1-j} - E_{j,2n+1-i} for i < j <= n, each with t in [1, high].
+    and E_{i,2n+1-j} - E_{j,2n+1-i} for i < j <= n, each with t in [1, 10^6].
     Every such vector squares to zero and is upper triangular, so each factor
     is an upper unipotent isometry, and the row space is a point of the
     Schubert cell of w.  The rows are columns w_1..w_n of b.
@@ -124,7 +126,7 @@ def _borel_rows(w: IndexVector, n: int, rng: Random, high: int = 10**6) -> list[
     # b.e_w = F_1 (F_2 (... F_k e_w)): apply the last factor first; no row
     # that a factor reads is also one it writes, so each update is in place
     for a, b, c, d in reversed(roots):
-        t = rng.randint(1, high)
+        t = rng.randint(1, 10**6)
         for col in cols:
             col[a - 1] += t * col[b - 1]
             col[c - 1] -= t * col[d - 1]

@@ -351,7 +351,7 @@ class _Interpolator:
     coordinate ring of X(w) (Lakshmibai-Seshadri).
     """
 
-    def __init__(self, n, num_rows, content, seed, w=None):
+    def __init__(self, n, num_rows, content, seed, w):
         self.n, self.w = n, w
         self.qrows = [
             r for r in minimal_coset_reps_alpha_n(n) if w is None or bruhat_leq(r, w)

@@ -15,6 +15,7 @@ from smtorus.pfaffian import (
     AsymmetricDualPairError,
     EvenCardinalityError,
     NotFullFlagIndexError,
+    SkewPoint,
     dual_pair,
     evaluate_relation,
     exchange_relation,
@@ -207,6 +208,13 @@ def test_skew_point_json_roundtrip():
     pt = skew_point(3, {(1, 2): Fraction(1, 3), (2, 3): -4})
     back = skew_point_from_json(skew_point_to_json(pt))
     assert back.n == 3 and back.upper == pt.upper
+
+
+def test_skew_point_derives_its_numerators_from_upper():
+    upper = {(1, 2): Fraction(1, 3), (1, 4): Fraction(-5, 6), (2, 3): Fraction(7), (3, 4): 2}
+    pt = SkewPoint(4, upper)
+    assert pt.den == 6 and pt.num == {(1, 2): 2, (1, 4): -5, (2, 3): 42, (3, 4): 12}
+    assert pfaffian(pt) == matching_sum_pfaffian(pt) == Fraction(1, 3) * 2 - Fraction(5, 6) * 7
 
 
 def _rational_points(max_n):

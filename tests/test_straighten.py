@@ -386,7 +386,7 @@ def _residue(value: Fraction, p: int) -> int:
     return value.numerator * pow(value.denominator, -1, p) % p
 
 
-RANK4_CONTEXT = straighten._Interpolator(4, 2, straighten.content_of(G1, 4), 0)
+RANK4_CONTEXT = straighten._Interpolator(4, 2, straighten.content_of(G1, 4), 0, None)
 
 
 @settings(max_examples=40, deadline=None)
