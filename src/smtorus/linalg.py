@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals, with a modular fast path.
 
 ``Span`` is the package's one exact elimination: it keeps a row space over
-``fractions.Fraction`` in fully reduced row echelon form, and every rational
-rank, membership test, kernel and determinant adds rows to a ``Span`` and
-reads the answer off its pivot rows.  Interpolation and content-class solves
-run modulo primes below 2^21 on float64 numpy arrays: every product of
+``fractions.Fraction`` in fully reduced row echelon form, and every membership
+test, kernel, determinant and uncertified rank adds rows to a ``Span`` and
+reads the answer off its pivot rows.  ``certified_rank`` reduces rows, scaled
+to integers, modulo a prime instead: rank mod p <= rank over Q <= min(rows,
+columns), so a modular rank that reaches the minimum is the exact rank, and
+otherwise the caller falls back to a ``Span``.  Interpolation and content-class
+solves run modulo primes below 2^21 on float64 numpy arrays: every product of
 residues goes through BLAS in chunks whose sums stay below 2^53, so each chunk
 is exact and needs one reduction.  The word-size bounds are checked here;
 answers mod p are checked exactly, here or by the caller.
@@ -13,6 +16,7 @@ answers mod p are checked exactly, here or by the caller.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -24,6 +28,7 @@ __all__ = [
     "matvec_mod",
     "inverse_mod",
     "products_mod",
+    "certified_rank",
     "integer_solution",
     "crt",
     "symmetric_mod",
@@ -248,6 +253,42 @@ def products_mod(qmat, idx, p):
     for col in range(1, idx.shape[1]):
         vals = (vals * qmat[:, idx[:, col]]) % p
     return vals
+
+
+def certified_rank(rows, length):
+    """Rank of sparse rational rows ``{column: value}``, or None if p does not certify it.
+
+    Every row is consumed, scaled to integers by the lcm of its denominators
+    and reduced mod p = ``PRIMES[0]`` against a reduced echelon basis of float64
+    rows.  The rank mod p is returned when it reaches min(rows, length), which
+    bounds the rank over Q.  Raises OverflowError if p is too wide for float64.
+    """
+    p = PRIMES[0]
+    _chunk(p)  # the bound check: each basis update adds one product of residues
+    basis = np.zeros((0, length))
+    cols = []
+    count = 0
+    for row in rows:
+        count += 1
+        if len(cols) == length:
+            continue
+        scale = lcm(*(c.denominator for c in row.values()))
+        v = np.zeros(length)
+        for j, c in row.items():
+            v[j] = c.numerator * (scale // c.denominator) % p
+        v -= _matmul_mod(v[cols][None, :], basis, p)[0]
+        _reduce(v, p)
+        nz = np.flatnonzero(v)
+        if len(nz) == 0:
+            continue
+        col = int(nz[0])
+        v *= pow(int(v[col]), p - 2, p)
+        _reduce(v, p)
+        basis -= np.outer(basis[:, col], v)
+        _reduce(basis, p)
+        basis = np.vstack([basis, v])
+        cols.append(col)
+    return len(cols) if len(cols) == min(count, length) else None
 
 
 def _dense(equations, width):

@@ -121,12 +121,20 @@ def _expand(factors, spec: RingSpec, seed=0) -> Expansion:
     return expand_product(factors, w=w, seed=seed)
 
 
-def _coordinates(exp: Expansion, index: dict) -> list[Fraction]:
-    vec = [Fraction(0)] * len(index)
+def _positions(exp: Expansion, index: dict) -> dict[int, Fraction]:
+    """The expansion as a sparse row ``{basis position: coefficient}``."""
+    row = {}
     for rows, c in exp.items():
         pos = index.get(rows)
         if pos is None:
             raise BasisMismatchError(f"expansion term {rows} outside the basis")
+        row[pos] = c
+    return row
+
+
+def _coordinates(exp: Expansion, index: dict) -> list[Fraction]:
+    vec = [Fraction(0)] * len(index)
+    for pos, c in _positions(exp, index).items():
         vec[pos] = c
     return vec
 
@@ -162,6 +170,11 @@ def check_generation(spec: RingSpec, max_gen_degree: int, generators=None, seed=
 
     Generators default to the full standard basis in degrees 1..max_gen_degree;
     an explicit list of tableaux may be supplied instead.
+
+    Each degree's rank comes from ``linalg.certified_rank`` on the streamed
+    product rows, every one still expanded and checked against the basis.  It
+    is exact because rank mod p <= rank over Q <= min(products, basis size); a
+    degree whose modular rank stays below that bound is redone by ``linalg.Span``.
     """
     if generators is None:
         gens = []
@@ -174,11 +187,16 @@ def check_generation(spec: RingSpec, max_gen_degree: int, generators=None, seed=
     for k in range(spec.max_degree + 1):
         bas = basis(spec, k)
         index = {t.rows: i for i, t in enumerate(bas)}
-        span = linalg.Span(len(bas))
-        for ms in _degree_multisets(degrees, k):
-            exp = _expand([gens[j][1] for j in ms], spec, seed=seed)
-            span.add(_coordinates(exp, index))
-        rows.append((k, len(bas), span.dim, span.dim == len(bas)))
+        products = [[gens[j][1] for j in ms] for ms in _degree_multisets(degrees, k)]
+        dim = linalg.certified_rank(
+            (_positions(_expand(f, spec, seed=seed), index) for f in products), len(bas)
+        )
+        if dim is None:
+            span = linalg.Span(len(bas))
+            for f in products:
+                span.add(_coordinates(_expand(f, spec, seed=seed), index))
+            dim = span.dim
+        rows.append((k, len(bas), dim, dim == len(bas)))
     return GenerationReport(
         max_gen_degree=max_gen_degree,
         per_degree=tuple(rows),

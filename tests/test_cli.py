@@ -167,6 +167,22 @@ def test_reports_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_reports_do_not_depend_on_the_order_of_presets(tmp_path, monkeypatch):
+    """Each order starts from empty caches; the second preset then reuses what the first filled."""
+    presets = [["reproduce", "spin8"], ["reproduce", "spin8n", "--n", "2"]]
+    reports = []
+    for order in (presets, presets[::-1]):
+        monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+        monkeypatch.setattr(straighten, "_INTERP_CACHE", {})
+        got = {}
+        for argv in order:
+            out = tmp_path / "report.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            got[" ".join(argv[1:])] = hashlib.sha256(out.read_bytes()).hexdigest()
+        reports.append(got)
+    assert reports[0] == reports[1] == {name: REPORT_SHA256[name] for name in got}
+
+
 def test_text_format(tmp_path, capsys):
     code = main(["hilbert", "--n", "4", "--w", "2,4,6,8", "--format", "text"])
     assert code == 0

@@ -10,6 +10,7 @@ from smtorus import linalg
 from smtorus.linalg import (
     PRIMES,
     Span,
+    certified_rank,
     frac_det,
     integer_solution,
     inverse_mod,
@@ -38,6 +39,13 @@ def test_mod_inverse_refuses_primes_too_wide_for_a_block():
     assert 1 <= linalg._chunk(p) < B
     with pytest.raises(OverflowError):
         inverse_mod(np.ones((1, 1), dtype=np.int64), p)
+
+
+def test_certified_rank_refuses_wide_primes(monkeypatch):
+    monkeypatch.setattr(linalg, "PRIMES", (WIDE,))
+    for rows in ([], [{0: 1}]):
+        with pytest.raises(OverflowError):
+            certified_rank(iter(rows), 1)
 
 
 def test_integer_solution_refuses_an_int64_overflow():
@@ -216,3 +224,63 @@ def test_integer_solution_checks_equations_past_the_first_block():
     equations = [{0: 1, 1: -3}] * (2 * B) + [{0: 1, 1: -4}]
     assert integer_solution(equations, 1, 2) is None
     assert integer_solution(equations[:-1], 1, 2).tolist() == [[3]]
+
+
+def _sparse(matrix):
+    return [{j: a for j, a in enumerate(row) if a} for row in matrix]
+
+
+def _span_rank(rows, length):
+    span = Span(length)
+    for row in rows:
+        span.add([row.get(j, 0) for j in range(length)])
+    return span.dim
+
+
+def _with_combination(drawn):
+    matrix, a, b = drawn
+    if not a:
+        return matrix
+    return matrix + [[a * x + b * y for x, y in zip(matrix[0], matrix[-1])]]
+
+
+def dependent_matrices():
+    """Small integer rows, sometimes followed by a combination of the first and last."""
+    return st.tuples(rect_matrices(), st.integers(-2, 2), st.integers(-2, 2)).map(_with_combination)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_matrices())
+def test_certified_rank_matches_exact_elimination(matrix):
+    """Minors of these entries stay far below PRIMES[0], so the rank mod p is the rank."""
+    rows, length = _sparse(matrix), len(matrix[0])
+    exact = _span_rank(rows, length)
+    got = certified_rank(iter(rows), length)
+    assert (got is None) == (exact < min(len(rows), length))
+    assert got is None or got == exact
+
+
+def test_certified_rank_declines_rows_that_vanish_mod_p():
+    p = PRIMES[0]
+    rows = [{0: p, 1: 2 * p}, {1: p}]
+    assert _span_rank(rows, 2) == 2
+    assert certified_rank(iter(rows), 2) is None
+
+
+def test_certified_rank_scales_out_a_denominator_of_p():
+    """1/p has no residue; mapped to 0 it would make these dependent rows look independent."""
+    p = PRIMES[0]
+    dependent = [{0: Fraction(1, p), 1: 1}, {0: 1, 1: p}]
+    assert _span_rank(dependent, 2) == 1
+    assert certified_rank(iter(dependent), 2) is None
+    independent = [{0: Fraction(1, p), 1: 1}, {1: Fraction(3, 2 * p)}]
+    assert certified_rank(iter(independent), 2) == _span_rank(independent, 2) == 2
+
+
+def test_certified_rank_consumes_every_row():
+    rows = [{0: 1}, {0: 2}, {0: 3}, {}]
+    seen = []
+    assert certified_rank((seen.append(row) or row for row in rows), 1) == 1
+    assert seen == rows
+    assert certified_rank(iter([]), 3) == 0
+    assert certified_rank(iter([{}]), 0) == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from smtorus import families, ring
+from smtorus import families, linalg, ring
 from smtorus.ring import (
     AmbiguousMatchError,
     RingSpec,
@@ -171,3 +171,45 @@ def test_generation_by_minimal_set_on_largest_member():
     assert check_generation(spec, 2, generators=gens).generated
     # dropping Y_1 reproduces the degree-2 failure
     assert not check_generation(spec, 2, generators=gens[:6]).generated
+
+
+SPEC6 = RingSpec("omega_n", 8, families.family_index(6, 2), max_degree=4)
+
+
+def _span_per_degree(spec, gens):
+    """check_generation's rows computed by exact elimination alone."""
+    degrees = [t.degree for t in gens]
+    rows = []
+    for k in range(spec.max_degree + 1):
+        bas = basis(spec, k)
+        index = {t.rows: i for i, t in enumerate(bas)}
+        span = linalg.Span(len(bas))
+        for ms in ring._degree_multisets(degrees, k):
+            span.add(ring._coordinates(ring._expand([gens[j] for j in ms], spec), index))
+        rows.append((k, len(bas), span.dim, span.dim == len(bas)))
+    return tuple(rows)
+
+
+def test_generation_falls_back_to_exact_ranks_for_dependent_products(monkeypatch):
+    """Repeated generators give dependent rows, fewer than the basis: no prime certifies them."""
+    real = linalg.certified_rank
+    certified = []
+
+    def spy(rows, length):
+        certified.append(real(rows, length))
+        return certified[-1]
+
+    monkeypatch.setattr(linalg, "certified_rank", spy)
+    x1, x2 = families.x_tableau(1, 2), families.x_tableau(2, 2)
+    gens = [x1, x1, x2]
+    rep = check_generation(SPEC6, 1, generators=gens)
+    assert None in certified
+    assert rep.per_degree == _span_per_degree(SPEC6, gens)
+    assert not rep.generated
+
+
+def test_generation_ranks_on_the_largest_member_match_exact_elimination():
+    for max_gen_degree in (1, 2):
+        gens = [t for d in range(1, max_gen_degree + 1) for t in basis(SPEC6, d)]
+        rep = check_generation(SPEC6, max_gen_degree)
+        assert rep.per_degree == _span_per_degree(SPEC6, gens)
