@@ -157,7 +157,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_check_generation(args) -> int:
     spec = _spec_from_args(args)
-    rep = ring.check_generation(spec, args.max_gen_degree, seed=args.seed)
+    rep = ring.check_generation(spec, args.max_gen_degree)
     results = {"generation": {
         "d": rep.max_gen_degree,
         "per_degree": list(rep.per_degree),
@@ -169,7 +169,7 @@ def _cmd_check_generation(args) -> int:
 
 def _cmd_relations(args) -> int:
     spec = _spec_from_args(args)
-    rel = ring.relations_in_degree(spec, args.degree, seed=args.seed)
+    rel = ring.relations_in_degree(spec, args.degree)
     return _done(args, {"spec": spec, "degree": args.degree}, results={
         "dimension": rel.dimension,
         "generators": [{"degree": d, "rows": [list(r) for r in t.rows]} for d, t in rel.generators],
@@ -243,7 +243,7 @@ def _cmd_reproduce(args) -> int:
 
 def _subcommand(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=summary)
-    p.add_argument("--seed", type=int, default=0, help="seed for evaluation points")
+    p.add_argument("--seed", type=int, default=0, help="seeds verify-pfaffian; recorded in every report")
     p.add_argument("--format", choices=("json", "text", "csv"), default="json")
     p.add_argument("--out", help="output file (default: stdout, or $%s)" % OUT_DIR_ENV)
     p.set_defaults(func=func)

@@ -97,11 +97,11 @@ def spin8(seed: int) -> dict:
     spec = ring.RingSpec("omega_n", n, top, max_degree=4)
     h = ring.hilbert(spec)
     claim(claims, "full-space Hilbert values are 1, 3, 6, 10, 15", h == [1, 3, 6, 10, 15], hilbert=h)
-    gen = ring.check_generation(spec, 1, seed=seed)
+    gen = ring.check_generation(spec, 1)
     claim(claims, "the full-space ring is generated in degree one", gen.generated,
           per_degree=list(gen.per_degree))
     claim(claims, "no quadratic relations among the degree-1 tableaux",
-          ring.relations_in_degree(spec, 2, seed=seed).dimension == 0)
+          ring.relations_in_degree(spec, 2).dimension == 0)
     ident = ring.identify_projective_space(h)
     claim(claims, "the quotient is projective 2-space with its line polarization",
           ident == (2, 1), identified=ident)
@@ -115,7 +115,7 @@ def spin8(seed: int) -> dict:
     claim(claims, "the index (3,4,7,8) gives the projective line, no quadratic relations",
           h2 == [1, 2, 3, 4, 5]
           and ring.identify_projective_space(h2) == (1, 1)
-          and ring.relations_in_degree(spec2, 2, seed=seed).dimension == 0,
+          and ring.relations_in_degree(spec2, 2).dimension == 0,
           hilbert=h2)
     ss = ring.has_semistable(spec)
     claim(claims, "invariants first appear in degree one with nonpositive weight",
@@ -158,8 +158,8 @@ def spin8n(seed: int, n: int) -> dict:
           dim=len(basis1))
 
     basis2 = tableau.enumerate_basis_omega_n(rank, w6, 2)
-    rel = ring.relations_in_degree(spec6, 2, seed=seed)
-    gen1 = ring.check_generation(spec6, 1, seed=seed)
+    rel = ring.relations_in_degree(spec6, 2)
+    gen1 = ring.check_generation(spec6, 1)
     outside = [t.rows for d, t in rel.generators if d == 2]
     claim(claims, "exactly the four tableaux Y_1..Y_4 lie outside degree-1 products",
           sorted(outside) == sorted(Y[j].rows for j in range(1, 5)),
@@ -187,24 +187,24 @@ def spin8n(seed: int, n: int) -> dict:
     claim(claims, "the three printed quadratic relations hold",
           all(rel.contains(rel_vector(t)) for t in printed))
 
-    prod_xy1 = expand_product([X[2], Y[1]], w=w6, seed=seed)
-    prod_xy2 = expand_product([X[2], Y[2]], w=w6, seed=seed)
+    prod_xy1 = expand_product([X[2], Y[1]], w=w6)
+    prod_xy2 = expand_product([X[2], Y[2]], w=w6)
     claim(claims, "X_2 Y_1 = Z_1 and X_2 Y_2 = Z_2 on the largest member",
           prod_xy1 == {Z[1].rows: Fraction(1)} and prod_xy2 == {Z[2].rows: Fraction(1)})
 
     claim(claims, "degree-1 elements do not generate (failure at degree 2)",
           not gen1.generated and gen1.per_degree[2][3] is False,
           per_degree=list(gen1.per_degree))
-    gen2 = ring.check_generation(spec6, 2, seed=seed)
+    gen2 = ring.check_generation(spec6, 2)
     claim(claims, "degrees one and two generate through degree 4", gen2.generated,
           per_degree=list(gen2.per_degree))
     gen_min = ring.check_generation(
-        spec6, 2, generators=[X[i] for i in range(1, 7)] + [Y[1]], seed=seed
+        spec6, 2, generators=[X[i] for i in range(1, 7)] + [Y[1]]
     )
     claim(claims, "the six degree-1 tableaux and Y_1 alone generate", gen_min.generated,
           per_degree=list(gen_min.per_degree))
     even = ring.hilbert_even(spec6, 2)
-    gen_even = ring.check_generation(spec6, 2, generators=basis2, seed=seed)
+    gen_even = ring.check_generation(spec6, 2, generators=basis2)
     claim(claims, "degree-2 elements span the degree-4 piece (doubled polarization)",
           gen_even.per_degree[4][3], even_hilbert=even)
 
@@ -255,7 +255,7 @@ def alpha1(seed: int, group_type: str) -> dict:
         h = ring.hilbert(spec)
         m = n - 2 if group_type == "D" else n - 1
         expect = ring.veronese_hilbert(m, 1, 4)
-        gen = ring.check_generation(spec, 1, seed=seed)
+        gen = ring.check_generation(spec, 1)
         count = len(ring.basis(spec, 1))
         results[n] = {"hilbert": h, "expected": expect, "generated": gen.generated,
                       "degree1_dim": count}

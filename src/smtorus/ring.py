@@ -116,9 +116,9 @@ def hilbert_even(spec: RingSpec, half_max: int) -> list[int]:
     return [dim_graded_piece(spec, 2 * k) for k in range(half_max + 1)]
 
 
-def _expand(factors, spec: RingSpec, seed=0) -> Expansion:
+def _expand(factors, spec: RingSpec) -> Expansion:
     w = spec.resolved_w() if spec.kind == "omega_n" else None
-    return expand_product(factors, w=w, seed=seed)
+    return expand_product(factors, w=w)
 
 
 def _positions(exp: Expansion, index: dict) -> dict[int, Fraction]:
@@ -165,7 +165,7 @@ class GenerationReport:
     generator_degrees: tuple
 
 
-def check_generation(spec: RingSpec, max_gen_degree: int, generators=None, seed=0) -> GenerationReport:
+def check_generation(spec: RingSpec, max_gen_degree: int, generators=None) -> GenerationReport:
     """Do products of low-degree elements span every graded piece up to max_degree?
 
     Generators default to the full standard basis in degrees 1..max_gen_degree;
@@ -189,12 +189,12 @@ def check_generation(spec: RingSpec, max_gen_degree: int, generators=None, seed=
         index = {t.rows: i for i, t in enumerate(bas)}
         products = [[gens[j][1] for j in ms] for ms in _degree_multisets(degrees, k)]
         dim = linalg.certified_rank(
-            (_positions(_expand(f, spec, seed=seed), index) for f in products), len(bas)
+            (_positions(_expand(f, spec), index) for f in products), len(bas)
         )
         if dim is None:
             span = linalg.Span(len(bas))
             for f in products:
-                span.add(_coordinates(_expand(f, spec, seed=seed), index))
+                span.add(_coordinates(_expand(f, spec), index))
             dim = span.dim
         rows.append((k, len(bas), dim, dim == len(bas)))
     return GenerationReport(
@@ -229,7 +229,7 @@ class RelationSpace:
         return self.products.index(tuple(sorted(multiset)))
 
 
-def new_generators(spec: RingSpec, up_to: int, seed=0):
+def new_generators(spec: RingSpec, up_to: int):
     """Per degree, every basis element outside the span of lower-degree products.
 
     The result need not be a minimal generating set (two new elements may
@@ -244,7 +244,7 @@ def new_generators(spec: RingSpec, up_to: int, seed=0):
         span = linalg.Span(len(bas))
         degrees = [g for g, _ in gens]
         for ms in _degree_multisets(degrees, d):
-            exp = _expand([gens[j][1] for j in ms], spec, seed=seed)
+            exp = _expand([gens[j][1] for j in ms], spec)
             span.add(_coordinates(exp, index))
         gens += [
             (d, t)
@@ -254,7 +254,7 @@ def new_generators(spec: RingSpec, up_to: int, seed=0):
     return gens
 
 
-def relations_in_degree(spec: RingSpec, k: int, generators=None, seed=0) -> RelationSpace:
+def relations_in_degree(spec: RingSpec, k: int, generators=None) -> RelationSpace:
     """Kernel basis of the multiplication map in degree k.
 
     >>> sp = RingSpec("omega_n", 4, (3, 4, 7, 8), max_degree=2)
@@ -264,7 +264,7 @@ def relations_in_degree(spec: RingSpec, k: int, generators=None, seed=0) -> Rela
     if k < 2:
         raise RingError("relations live in degree at least 2")
     if generators is None:
-        gens = new_generators(spec, k, seed=seed)
+        gens = new_generators(spec, k)
     else:
         gens = [(t.degree, t) for t in generators]
     degrees = [d for d, _ in gens]
@@ -272,7 +272,7 @@ def relations_in_degree(spec: RingSpec, k: int, generators=None, seed=0) -> Rela
     index = {t.rows: i for i, t in enumerate(bas)}
     products = _degree_multisets(degrees, k)
     vectors = [
-        _coordinates(_expand([gens[j][1] for j in ms], spec, seed=seed), index)
+        _coordinates(_expand([gens[j][1] for j in ms], spec), index)
         for ms in products
     ]
     kernel = linalg.kernel_of_columns(vectors)

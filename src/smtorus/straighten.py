@@ -13,24 +13,25 @@ exactly against every relation.  The resulting pair expansions obey the
 two-sided straightening bounds, so substituting them into longer monomials
 strictly lowers the smallest row and the rewriting loop terminates.  Restriction to a
 Schubert variety drops any term using a row not below the defining index and
-may be interleaved with the rewriting.
+may be interleaved with the rewriting.  ``expand_product`` takes this route only.
 
-An independent evaluation route expands products by interpolation: the
-standard monomials sharing the content of the product are evaluated at random
-points and the coordinates solved for modulo primes below 2^21
-(``linalg.PRIMES``, whose residue products are exact in float64); the
-reconstructed expansion is then re-verified by exact evaluation at fresh
-points.  A restricted product is interpolated on the Schubert variety X(w)
-itself, at ``pfaffian.schubert_point``s, over the restricted standard
-monomials only (22 for a degree-2 product on X(W6) at rank 8); only an
-unrestricted product takes the whole space, at random skew matrices, where
-the rank-8 degree-2 class needs a dense 1162x1162 inverse.  The two routes
-share no restriction step, so comparing them checks restriction.
+The test oracle, ``expand_by_interpolation``, runs no rewriting: the standard
+monomials sharing the content of the product are evaluated at random points
+and the coordinates solved for modulo primes below 2^21 (``linalg.PRIMES``,
+whose residue products are exact in float64); the reconstructed expansion is
+then re-verified by exact evaluation at fresh points.  A restricted product is
+interpolated on the Schubert variety X(w) itself, at
+``pfaffian.schubert_point``s, over the restricted standard monomials only (22
+for a degree-2 product on X(W6) at rank 8); only an unrestricted product takes
+the whole space, at random skew matrices, where the rank-8 degree-2 class
+needs a dense 1162x1162 inverse.  The two routes share no restriction step, so
+comparing them checks restriction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -177,22 +178,27 @@ def _merged_relation(s1, s2, x):
 
 
 def _content_class_pairs(content, n):
-    """All unordered coordinate-row pairs realizing the given value counts."""
+    """All unordered coordinate-row pairs realizing the given value counts.
+
+    Each row takes one value of every mirror pair {t, 2n+1-t}, and an even
+    number of values above n: a value counted twice goes in both rows, and a
+    mirror pair counted once each is split between them.
+    """
+    both, splits = [], []
+    for t in range(1, n + 1):
+        mirror = 2 * n + 1 - t
+        counts = (content.get(t, 0), content.get(mirror, 0))
+        if counts == (1, 1):
+            splits.append((t, mirror))
+        elif counts in ((2, 0), (0, 2)):
+            both.append(t if counts[0] else mirror)
+        else:
+            return []
     pairs = set()
-    for u in minimal_coset_reps_alpha_n(n):
-        remaining = dict(content)
-        for v in u:
-            remaining[v] -= 1
-        if any(c not in (0, 1) for c in remaining.values()):
-            continue
-        rest = tuple(sorted(v for v, c in remaining.items() if c))
-        if len(rest) != n:
-            continue
-        try:
-            _bset(rest, n)
-        except (NotAPfaffianIndexError, ValueError):
-            continue
-        pairs.add(sort_rows((u, rest)))
+    for picks in product(*splits):
+        rows = (sorted(both + list(picks)), sorted(both + [2 * n + 1 - v for v in picks]))
+        if all(sum(v > n for v in r) % 2 == 0 for r in rows):
+            pairs.add(sort_rows(rows))
     return sorted(pairs)
 
 
@@ -490,13 +496,12 @@ def _factor_rows(factors):
     return sort_rows(rows), shape, n
 
 
-def expand_product(factors, w=None, seed=0) -> Expansion:
+def expand_product(factors, w=None) -> Expansion:
     """Coordinates of a product of standard tableaux over the standard basis.
 
     `factors` may be Tableau objects or bare row collections.  Single-column
-    products multiply by merging.  Grids of rank at most 5 take the
-    evaluation route, with quadratic products cross-checked against the
-    exchange rewriting route; larger ranks take the rewriting route.
+    products multiply by merging; grid products are rewritten exactly by
+    ``straighten_rows``, restricted to X(w) when w is given.
     """
     rows, shape, n = _factor_rows(factors)
     if not rows:
@@ -505,14 +510,7 @@ def expand_product(factors, w=None, seed=0) -> Expansion:
         return {rows: Fraction(1)}
     if n is None:
         raise BasisMismatchError("cannot infer rank; pass Tableau factors")
-    if n > 5:
-        return straighten_rows(rows, n, w=w)
-    exp = expand_by_interpolation(rows, n, seed=seed, w=w)
-    if len(rows) == 4:
-        sym = straighten_rows(rows, n, w=w)
-        if sym != exp:
-            raise BasisMismatchError("evaluation and rewriting routes disagree")
-    return exp
+    return straighten_rows(rows, n, w=w)
 
 
 def expansion_to_json(exp: Expansion) -> list:

@@ -215,6 +215,18 @@ def test_criterion_8_property_suite():
     for b1, b2 in combinations_with_replacement(reps4, 2):
         assert expand_by_interpolation((b1, b2), 4, seed=0) == straighten_rows((b1, b2), 4)
 
+    # ...and every product that `reproduce spin8` expands: degrees 1-4 of the
+    # degree-1 basis on each of its three Schubert varieties (52 products)
+    spin8_products = 0
+    for w in (families.SPIN8_TOP, families.SPIN8_W1, families.SPIN8_W2):
+        basis1 = tableau.enumerate_basis_omega_n(4, w, 1)
+        for k in range(1, 5):
+            for factors in combinations_with_replacement(basis1, k):
+                rows = tuple(r for t in factors for r in t.rows)
+                assert expand_by_interpolation(rows, 4, seed=0, w=w) == expand_product(factors, w=w)
+                spin8_products += 1
+    assert spin8_products == 52
+
     # path agreement: every quadratic product of the degree-1 basis, interpolated
     # on X(W6) itself (22 restricted standard monomials per product)
     for i, j in combinations_with_replacement(range(1, 7), 2):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -183,6 +184,16 @@ def test_reports_do_not_depend_on_the_order_of_presets(tmp_path, monkeypatch):
     assert reports[0] == reports[1] == {name: REPORT_SHA256[name] for name in got}
 
 
+@pytest.mark.parametrize("preset", ["spin8", "spin8n --n 2"])
+def test_reports_do_not_depend_on_the_seed(tmp_path, preset):
+    """The seed only lands in the config: written back as 0, the report is the pinned one."""
+    out = tmp_path / "report.json"
+    assert main(["reproduce", *preset.split(), "--seed", "5", "--out", str(out)]) == 0
+    text, count = re.subn(r'^(\s*"seed": )5$', r"\g<1>0", out.read_text(), flags=re.M)
+    assert count == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[preset]
+
+
 def test_text_format(tmp_path, capsys):
     code = main(["hilbert", "--n", "4", "--w", "2,4,6,8", "--format", "text"])
     assert code == 0
@@ -227,13 +238,13 @@ def test_invalid_values_exit_2(capsys):
 
 
 def test_route_disagreement_exits_1(tmp_path, monkeypatch, capsys):
-    """A failed interpolation cross-check is a failed run, not a usage error."""
+    """Rewriting that leaves the enumerated basis is a failed run, not a usage error."""
     real = straighten.straighten_rows
 
     def skewed(rows, n, **kwargs):
         exp = dict(real(rows, n, **kwargs))
         key = next(iter(exp))
-        exp[key] += 1
+        exp[key + key] = 1  # twice the degree: in no basis of the product's degree
         return exp
 
     monkeypatch.setattr(straighten, "straighten_rows", skewed)
@@ -244,22 +255,7 @@ def test_route_disagreement_exits_1(tmp_path, monkeypatch, capsys):
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert "BasisMismatchError" in err and "routes disagree" in err
-    assert not out.exists()
-
-
-def test_singular_evaluation_matrix_exits_1(tmp_path, monkeypatch, capsys):
-    def singular(rows, n, **kwargs):
-        raise straighten.SingularEvaluationMatrixError("singular evaluation matrix")
-
-    monkeypatch.setattr(straighten, "expand_by_interpolation", singular)
-    out = tmp_path / "report.json"
-    code = main([
-        "check-generation", "--n", "4", "--w", "5,6,7,8", "--max-gen-degree", "1",
-        "--out", str(out),
-    ])
-    assert code == 1
-    assert "SingularEvaluationMatrixError" in capsys.readouterr().err
+    assert "BasisMismatchError" in err and "outside the basis" in err
     assert not out.exists()
 
 

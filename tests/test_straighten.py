@@ -247,6 +247,40 @@ def test_rank6_pairs_straighten_soundly():
         assert evaluate_rows((b1, b2), pt) == evaluate_expansion(exp, pt)
 
 
+def _content_class_by_scan(content, n):
+    """The pairs realizing a content, found by scanning every row for its complement."""
+    reps = weyl.minimal_coset_reps_alpha_n(n)
+    rows = set(reps)
+    pairs = set()
+    for u in reps:
+        remaining = dict(content)
+        for v in u:
+            remaining[v] -= 1
+        rest = tuple(sorted(v for v, c in remaining.items() if c))
+        if all(c in (0, 1) for c in remaining.values()) and rest in rows:
+            pairs.add(sort_rows((u, rest)))
+    return sorted(pairs)
+
+
+def test_content_classes_match_a_scan_over_all_rows():
+    """Each class built from its content equals the scan over every row."""
+    # every pair content at ranks 4-7 (1,472) and 300 of the 3,153 at rank 8,
+    # where scanning them all takes 3 s
+    for n in range(4, 9):
+        contents = sorted({
+            tuple(sorted(straighten.content_of(pair, n).items()))
+            for pair in combinations_with_replacement(weyl.minimal_coset_reps_alpha_n(n), 2)
+        })
+        if n == 8:
+            contents = Random(n).sample(contents, 300)
+        for content in contents:
+            got = straighten._content_class_pairs(dict(content), n)
+            assert got and got == _content_class_by_scan(dict(content), n)
+    # a value counted three times, or a mirror pair counted (2, 2), has no class
+    assert straighten._content_class_pairs({1: 3, 2: 1, 3: 0, 4: 0}, 2) == []
+    assert straighten._content_class_pairs({1: 2, 2: 2, 3: 0, 4: 2}, 2) == []
+
+
 def test_contradictory_exchange_relation_is_an_error(monkeypatch):
     """An equation among standard pairs alone contradicts their independence."""
     original = straighten._merged_relation
