@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Run every reproduce preset and summarize the claim outcomes.
 
-Writes one JSON report per preset next to this script (or into $SMTORUS_OUT)
-and exits nonzero if any embedded claim fails.
+Writes one JSON report per preset next to this script (or into $SMTORUS_OUT),
+prints each preset's status and elapsed wall time, and exits nonzero if any
+embedded claim fails.
 """
 
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -27,9 +29,11 @@ def run() -> int:
     for argv in PRESETS:
         name = "-".join(argv[1:]).replace("--", "")
         out = os.path.join(out_dir, f"report-{name}.json")
+        start = time.perf_counter()
         code = main(argv + ["--out", out])
+        elapsed = time.perf_counter() - start
         status = "ok" if code == 0 else "FAILED"
-        print(f"{' '.join(argv):32s} -> {status} ({out})")
+        print(f"{' '.join(argv):32s} -> {status} in {elapsed:.2f} s ({out})")
         worst = max(worst, code)
     return worst
 

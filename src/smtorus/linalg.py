@@ -3,19 +3,21 @@
 ``Span`` is the package's one exact elimination: it keeps a row space over
 ``fractions.Fraction`` in fully reduced row echelon form, and every membership
 test, kernel, determinant and uncertified rank adds rows to a ``Span`` and
-reads the answer off its pivot rows.  ``certified_rank`` reduces rows, scaled
-to integers, modulo a prime instead: rank mod p <= rank over Q <= min(rows,
-columns), so a modular rank that reaches the minimum is the exact rank, and
-otherwise the caller falls back to a ``Span``.  Interpolation and content-class
-solves run modulo primes below 2^21 on float64 numpy arrays: every product of
-residues goes through BLAS in chunks whose sums stay below 2^53, so each chunk
-is exact and needs one reduction.  The word-size bounds are checked here;
-answers mod p are checked exactly, here or by the caller.
+reads the answer off its pivot rows.  ``_pivot`` is the one elimination mod a
+prime.  ``certified_rank`` reduces rows through it: rank mod p <= rank over Q
+<= min(rows, columns), so a modular rank that reaches the minimum is the exact
+rank, and otherwise the caller falls back to a ``Span``.  ``integer_solution``
+reads content-class solves off its reduced rows, and ``inverse_mod`` applies
+its pivots in blocks for interpolation.  Primes are below 2^21: every product
+of residues goes through BLAS in chunks whose sums stay below 2^53, so each
+chunk is exact and needs one reduction.  The word-size bounds are checked
+here; answers mod p are checked exactly, here or by the caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 import numpy as np
@@ -182,23 +184,27 @@ _BLOCK = 128
 def _pivot(a, ncols, p):
     """Gauss-Jordan with row pivoting on the first ncols columns of a, in place.
 
-    a is a float64 residue matrix with at least ncols rows.  Returns the row
-    swaps (step j swapped rows j and swaps[j]), or None when some column has
-    no pivot among the rows not yet used.
+    a is a float64 residue matrix.  A column with no nonzero entry among the
+    rows not yet used is skipped.  Returns the row swaps: step r swapped rows r
+    and swaps[r], after which row r is 1 at its pivot column and every other
+    row is 0 there.  So ``len(swaps)`` is the rank mod p of those columns, the
+    top ``len(swaps)`` rows are their reduced row echelon form, and the rows
+    below are 0 on them.
     """
     swaps = []
     for j in range(ncols):
-        nz = np.flatnonzero(a[j:, j])
+        r = len(swaps)
+        nz = np.flatnonzero(a[r:, j])
         if len(nz) == 0:
-            return None
-        piv = j + int(nz[0])
+            continue
+        piv = r + int(nz[0])
         swaps.append(piv)
-        a[[j, piv]] = a[[piv, j]]
-        a[j] *= pow(int(a[j, j]), p - 2, p)
-        _reduce(a[j], p)
+        a[[r, piv]] = a[[piv, r]]
+        a[r] *= pow(int(a[r, j]), p - 2, p)
+        _reduce(a[r], p)
         coeffs = a[:, j].copy()
-        coeffs[j] = 0
-        a -= np.outer(coeffs, a[j])
+        coeffs[r] = 0
+        a -= np.outer(coeffs, a[r])
         _reduce(a, p)
     return swaps
 
@@ -225,7 +231,7 @@ def inverse_mod(mat, p):
     for c0 in range(0, m, _BLOCK):
         w = min(_BLOCK, m - c0)
         swaps = _pivot(a[c0:, c0 : c0 + w].copy(), w, p)
-        if swaps is None:
+        if len(swaps) < w:
             return None
         for j, piv in enumerate(swaps):
             a[[c0 + j, c0 + piv]] = a[[c0 + piv, c0 + j]]
@@ -258,37 +264,31 @@ def products_mod(qmat, idx, p):
 def certified_rank(rows, length):
     """Rank of sparse rational rows ``{column: value}``, or None if p does not certify it.
 
-    Every row is consumed, scaled to integers by the lcm of its denominators
-    and reduced mod p = ``PRIMES[0]`` against a reduced echelon basis of float64
-    rows.  The rank mod p is returned when it reaches min(rows, length), which
-    bounds the rank over Q.  Raises OverflowError if p is too wide for float64.
+    Every row is consumed and scaled to integers by the lcm of its
+    denominators.  Modulo p = ``PRIMES[0]``, each chunk of ``length`` rows is
+    stacked under the reduced echelon basis found so far and ``_pivot`` keeps
+    the new basis; once the basis is full the remaining rows are only
+    counted.  The rank mod p is returned when it reaches min(rows, length),
+    which bounds the rank over Q.  Raises OverflowError if p is too wide for
+    float64.
     """
     p = PRIMES[0]
-    _chunk(p)  # the bound check: each basis update adds one product of residues
+    _chunk(p)  # the bound check: each pivot step adds one product of residues
+    rows = iter(rows)
     basis = np.zeros((0, length))
-    cols = []
     count = 0
-    for row in rows:
-        count += 1
-        if len(cols) == length:
+    while chunk := list(islice(rows, max(length, 1))):
+        count += len(chunk)
+        if len(basis) == length:
             continue
-        scale = lcm(*(c.denominator for c in row.values()))
-        v = np.zeros(length)
-        for j, c in row.items():
-            v[j] = c.numerator * (scale // c.denominator) % p
-        v -= _matmul_mod(v[cols][None, :], basis, p)[0]
-        _reduce(v, p)
-        nz = np.flatnonzero(v)
-        if len(nz) == 0:
-            continue
-        col = int(nz[0])
-        v *= pow(int(v[col]), p - 2, p)
-        _reduce(v, p)
-        basis -= np.outer(basis[:, col], v)
-        _reduce(basis, p)
-        basis = np.vstack([basis, v])
-        cols.append(col)
-    return len(cols) if len(cols) == min(count, length) else None
+        a = np.zeros((len(basis) + len(chunk), length))
+        a[: len(basis)] = basis
+        for i, row in enumerate(chunk, len(basis)):
+            scale = lcm(*(c.denominator for c in row.values()))
+            for j, c in row.items():
+                a[i, j] = c.numerator * (scale // c.denominator) % p
+        basis = a[: len(_pivot(a, length, p))]
+    return len(basis) if len(basis) == min(count, length) else None
 
 
 def _dense(equations, width):
@@ -306,24 +306,21 @@ def integer_solution(equations, k, width):
 
     The equations are sparse integer rows ``{column: coeff}`` of ``[L | R]``,
     with the k unknowns in columns ``0..k-1``.  For each prime p, ``_pivot``
-    picks k rows S independent mod p from the first 3k equations, or else from
-    all, and X = -L_S^-1 R_S mod p is lifted to entries in (-p/2, p/2).  As L_S
-    is invertible mod p, its determinant is a nonzero integer and L X + R = 0
-    has at most one rational solution, so the lift is returned once it
-    satisfies every equation exactly.
+    reduces ``[L | R]`` mod p on the first 3k equations, or else on all, until
+    L has rank k; its top k rows are then ``[I | -X]`` mod p, and X is lifted
+    to entries in (-p/2, p/2).  Those rows are L_S^-1 [L_S | R_S] for k
+    equations S whose L_S is invertible mod p, so its determinant is a nonzero
+    integer and L X + R = 0 has at most one rational solution: the lift is
+    returned once it satisfies every equation exactly.
     """
     for p in PRIMES:
         for count in sorted({min(3 * k, len(equations)), len(equations)}):
-            swaps = _pivot((_dense(equations[:count], k) % p).astype(np.float64), k, p)
-            if swaps is not None:
+            a = (_dense(equations[:count], width) % p).astype(np.float64)
+            if len(_pivot(a, k, p)) == k:
                 break
-        if swaps is None:
+        else:
             continue
-        rows = list(range(count))
-        for j, piv in enumerate(swaps):
-            rows[j], rows[piv] = rows[piv], rows[j]
-        system = _dense([equations[i] for i in rows[:k]], width) % p
-        x = -_matmul_mod(inverse_mod(system[:, :k], p), system[:, k:], p)
+        x = -a[:k, k:]
         x[x < -(p // 2)] += p
         x = x.astype(np.int64)
         if _satisfies(equations, x, k):

@@ -317,7 +317,7 @@ def straighten_rows(rows, n, w=None, fuel=None) -> Expansion:
         key, i = pick
         coeff = work.pop(key)
         rest = key[:i] + key[i + 2 :]
-        for pair, c in straighten_pair(key[i], key[i + 1], n).items():
+        for pair, c in _pair_expansion(key[i : i + 2], n).items():
             if w is not None and not all(bruhat_leq(r, w) for r in pair):
                 continue
             new_key = sort_rows(rest + pair)

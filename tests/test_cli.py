@@ -214,6 +214,19 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_csv_outside_hilbert_is_rejected_before_computing(monkeypatch, capsys):
+    monkeypatch.setitem(cli.PRESETS, "spin8", lambda args: pytest.fail("preset ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "spin8", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_unknown_system_exits_2(capsys):
+    assert main(["diamond", "--system", "nosuch"]) == 2
+    assert "unknown system 'nosuch'" in capsys.readouterr().err
+
+
 def test_reproduce_spin8n(tmp_path):
     code, rep = run(tmp_path, "reproduce", "spin8n", "--n", "2")
     assert code == 0 and rep["ok"]

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -169,6 +170,78 @@ def test_inverse_mod_is_none_exactly_when_leibniz_vanishes_mod_p(matrix):
         assert (product == np.eye(m, dtype=np.int64)).all()
 
 
+P = 7
+
+
+def _rref_mod(rows, p):
+    """Reduced row echelon form mod p of integer rows, by plain row operations."""
+    rows = [[x % p for x in row] for row in rows]
+    out = []
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((row for row in rows if row[j]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        inv = pow(piv[j], -1, p)
+        piv = [x * inv % p for x in piv]
+        out = [[(x - row[j] * y) % p for x, y in zip(row, piv)] for row in out]
+        rows = [[(x - row[j] * y) % p for x, y in zip(row, piv)] for row in rows]
+        out.append(piv)
+    return out
+
+
+def _with_copies(drawn):
+    """Rows from columns, where 'zero' and 'repeat' become a zero or the previous column."""
+    m, columns = drawn
+    cols = []
+    for col in columns:
+        if col == "zero":
+            col = [0] * m
+        elif col == "repeat":
+            col = cols[-1] if cols else [0] * m
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+def residue_matrices():
+    """(rows, ncols): tall or wide residue matrices mod P, some columns zero or repeated."""
+    matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape[0]),
+            st.lists(
+                st.one_of(
+                    st.lists(st.integers(0, P - 1), min_size=shape[0], max_size=shape[0]),
+                    st.sampled_from(["zero", "repeat"]),
+                ),
+                min_size=shape[1],
+                max_size=shape[1],
+            ),
+        ).map(_with_copies)
+    )
+    return matrices.flatmap(lambda rows: st.tuples(st.just(rows), st.integers(0, len(rows[0]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_matrices())
+def test_pivot_gives_the_rank_and_reduced_rows_of_its_columns(drawn):
+    rows, ncols = drawn
+    a = np.array(rows, dtype=np.float64)
+    swaps = linalg._pivot(a, ncols, P)
+    reduced = _rref_mod([row[:ncols] for row in rows], P)
+    rank = len(swaps)
+    assert rank == len(reduced)
+    assert a[:rank, :ncols].tolist() == reduced
+    assert not a[rank:, :ncols].any()
+    assert ((a >= 0) & (a < P)).all()
+    # only row operations: the rows span what they spanned before
+    assert len(_rref_mod(rows + a.astype(np.int64).tolist(), P)) == len(_rref_mod(rows, P))
+    # the swapped-in rows are independent on the pivoted columns
+    order = list(range(len(rows)))
+    for r, piv in enumerate(swaps):
+        order[r], order[piv] = order[piv], order[r]
+    assert len(_rref_mod([rows[i][:ncols] for i in order[:rank]], P)) == rank
+
+
 def _span_solution(equations, k, width):
     """X with L X + R = 0 by exact elimination of every equation, or None."""
     span = Span(width)
@@ -249,8 +322,30 @@ def dependent_matrices():
     return st.tuples(rect_matrices(), st.integers(-2, 2), st.integers(-2, 2)).map(_with_combination)
 
 
+def many_row_matrices():
+    """More than twice as many rows as columns, so that certified_rank reduces several chunks.
+
+    The rows combine up to three rows of entries in [-5, 5] with coefficients
+    in [-1, 1], so the entries stay below 16 in absolute value.
+    """
+    base = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+        lambda shape: st.lists(
+            st.lists(ENTRY, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+    return base.flatmap(
+        lambda rows: st.lists(
+            st.lists(st.integers(-1, 1), min_size=len(rows), max_size=len(rows)),
+            min_size=2 * len(rows[0]) + 1,
+            max_size=3 * len(rows[0]) + 1,
+        ).map(lambda coeffs: [[sum(map(operator.mul, cs, col)) for col in zip(*rows)] for cs in coeffs])
+    )
+
+
 @settings(max_examples=200, deadline=None)
-@given(dependent_matrices())
+@given(st.one_of(dependent_matrices(), many_row_matrices()))
 def test_certified_rank_matches_exact_elimination(matrix):
     """Minors of these entries stay far below PRIMES[0], so the rank mod p is the rank."""
     rows, length = _sparse(matrix), len(matrix[0])

@@ -353,25 +353,28 @@ def test_rank12_content_class_evaluates_exactly(monkeypatch):
 
 @pytest.mark.parametrize("wrong", [1, 3])
 def test_content_class_rejects_a_wrong_modular_answer(monkeypatch, wrong):
-    """A wrong inverse at the first primes fails the exact check."""
+    """A wrong reduction at the first primes fails the exact check."""
     primes = straighten.linalg.PRIMES
-    inverse_mod = straighten.linalg.inverse_mod
+    pivot = straighten.linalg._pivot
     used = []
 
-    def wrong_at_first_primes(mat, p):
+    def wrong_at_first_primes(a, ncols, p):
         used.append(p)
-        inv = inverse_mod(mat, p)
-        return (2 * inv) % p if p in primes[:wrong] else inv
+        swaps = pivot(a, ncols, p)
+        if p in primes[:wrong]:
+            # doubles -X in the rows [I | -X] that integer_solution reads
+            a[:ncols, ncols:] = 2 * a[:ncols, ncols:] % p
+        return swaps
 
-    monkeypatch.setattr(straighten.linalg, "inverse_mod", wrong_at_first_primes)
+    monkeypatch.setattr(straighten.linalg, "_pivot", wrong_at_first_primes)
     monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
     if wrong == len(primes):
         with pytest.raises(straighten.ContentClassError, match="content class"):
             straighten._solve_content_class(RANK4_PAIR, 4)
-        assert used == list(primes) and straighten._PAIR_MEMO == {}
+        assert list(dict.fromkeys(used)) == list(primes) and straighten._PAIR_MEMO == {}
         return
     straighten._solve_content_class(RANK4_PAIR, 4)
-    assert used == [primes[0], primes[1]]
+    assert list(dict.fromkeys(used)) == [primes[0], primes[1]]
     assert straighten._PAIR_MEMO[(4, RANK4_PAIR)] == {G1: 1, G2: -1, G3: 1}
 
 
