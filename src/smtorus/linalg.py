@@ -307,12 +307,16 @@ def integer_solution(equations, k, width):
     The equations are sparse integer rows ``{column: coeff}`` of ``[L | R]``,
     with the k unknowns in columns ``0..k-1``.  For each prime p, ``_pivot``
     reduces ``[L | R]`` mod p on the first 3k equations, or else on all, until
-    L has rank k; its top k rows are then ``[I | -X]`` mod p, and X is lifted
-    to entries in (-p/2, p/2).  Those rows are L_S^-1 [L_S | R_S] for k
-    equations S whose L_S is invertible mod p, so its determinant is a nonzero
-    integer and L X + R = 0 has at most one rational solution: the lift is
-    returned once it satisfies every equation exactly.
+    L has rank k; its top k rows are then ``[I | -X]`` mod p.  Those rows are
+    L_S^-1 [L_S | R_S] for k equations S whose L_S is invertible mod p, so its
+    determinant is a nonzero integer and L X + R = 0 has at most one rational
+    solution: a lift of X is returned once it satisfies every equation
+    exactly.  Each prime's residues are lifted to (-p/2, p/2] alone, so one
+    wrong prime cannot spoil the next, and then combined by ``crt`` with every
+    earlier prime's and lifted into the symmetric range of their product, so
+    an entry above p/2 is found once the product of the primes is large enough.
     """
+    combined = None
     for p in PRIMES:
         for count in sorted({min(3 * k, len(equations)), len(equations)}):
             a = (_dense(equations[:count], width) % p).astype(np.float64)
@@ -320,12 +324,26 @@ def integer_solution(equations, k, width):
                 break
         else:
             continue
-        x = -a[:k, k:]
-        x[x < -(p // 2)] += p
-        x = x.astype(np.int64)
+        residues = (-a[:k, k:] % p).astype(np.int64)
+        x = _symmetric_lift(residues, p)
         if _satisfies(equations, x, k):
             return x
+        if combined is None:
+            combined = residues, p
+            continue
+        combined = crt(combined[0].astype(object), combined[1], residues, p)
+        x = _symmetric_lift(*combined)
+        # the lift of a system with no integer solution spreads over the whole
+        # range; one too wide for the int64 check is skipped, not checked
+        widest = max(sum(map(abs, eq.values())) for eq in equations)
+        if widest * int(np.abs(x).max(initial=1)) < 1 << 63 and _satisfies(equations, x, k):
+            return x
     return None
+
+
+def _symmetric_lift(residues, m):
+    """Residues mod m lifted to (-m/2, m/2], as int64 (m < 2^63)."""
+    return np.where(residues > m // 2, residues - m, residues).astype(np.int64)
 
 
 def _satisfies(equations, x, k) -> bool:

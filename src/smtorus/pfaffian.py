@@ -308,12 +308,31 @@ def index_from_bset(bset, n: int) -> IndexVector:
     return comp + tuple(2 * n + 1 - v for v in reversed(bset))
 
 
+_BSET_MEMO: dict[tuple[IndexVector, int], Subset] = {}
+
+
+def _symmetric_bset(iv: IndexVector, n: int) -> Subset:
+    """The B-subset of the symmetric dual pair of iv, memoized per (iv, n).
+
+    Raises as `dual_pair` does, or `AsymmetricDualPairError`, on every call:
+    only a validated row is stored, and only when its B-subset is even.  An
+    odd B-subset is returned unstored, since q_iv then vanishes identically
+    and callers that need a coordinate reject it.
+    """
+    iv = tuple(iv)
+    bset = _BSET_MEMO.get((iv, n))
+    if bset is None:
+        aset, bset = dual_pair(iv, n)
+        if aset != bset:
+            raise AsymmetricDualPairError(f"{iv} has dual pair A={aset}, B={bset}")
+        if len(bset) % 2 == 0:
+            _BSET_MEMO[(iv, n)] = bset
+    return bset
+
+
 def q_eval(iv: IndexVector, point: SkewPoint) -> Fraction:
     """Value of the Pfaffian coordinate q_iv at a skew point."""
-    aset, bset = dual_pair(iv, point.n)
-    if aset != bset:
-        raise AsymmetricDualPairError(f"{iv} has dual pair A={aset}, B={bset}")
-    return sub_pfaffian(point, bset)
+    return sub_pfaffian(point, _symmetric_bset(iv, point.n))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,15 @@ strictly lowers the smallest row and the rewriting loop terminates.  Restriction
 Schubert variety drops any term using a row not below the defining index and
 may be interleaved with the rewriting.  ``expand_product`` takes this route only.
 
+Three process-wide memos hold finished exact results only: ``_PAIR_MEMO``
+keyed by (n, pair), ``_PRODUCT_MEMO`` keyed by (n, sorted rows, shape, w)
+in ``expand_product``, and ``pfaffian._BSET_MEMO`` from (row, n) to its
+validated B-subset.  Standard monomials are a basis (Lakshmibai-Seshadri), so
+each product has exactly one expansion and the order in which products are
+first expanded cannot change any result.  ``straighten_rows`` itself is not
+memoized: its ``fuel`` tripwire and the direct callers (the CLI's
+``straighten`` command, the interpolation cross-checks) see a full rewrite.
+
 The test oracle, ``expand_by_interpolation``, runs no rewriting: the standard
 monomials sharing the content of the product are evaluated at random points
 and the coordinates solved for modulo primes below 2^21 (``linalg.PRIMES``,
@@ -39,8 +48,9 @@ import numpy as np
 from . import linalg
 from .pfaffian import (
     _pf,
+    _symmetric_bset,
+    AsymmetricDualPairError,
     SkewPoint,
-    dual_pair,
     index_from_bset,
     exchange_relation,
     q_eval,
@@ -127,8 +137,11 @@ def is_standard_rows(rows) -> bool:
 
 
 def _bset(row, n):
-    aset, bset = dual_pair(row, n)
-    if aset != bset or len(bset) % 2:
+    try:
+        bset = _symmetric_bset(row, n)
+    except AsymmetricDualPairError:
+        bset = None
+    if bset is None or len(bset) % 2:
         raise NotAPfaffianIndexError(f"{row} is not a nonzero Pfaffian coordinate index")
     return bset
 
@@ -496,12 +509,19 @@ def _factor_rows(factors):
     return sort_rows(rows), shape, n
 
 
+_PRODUCT_MEMO: dict = {}
+
+
 def expand_product(factors, w=None) -> Expansion:
     """Coordinates of a product of standard tableaux over the standard basis.
 
     `factors` may be Tableau objects or bare row collections.  Single-column
     products multiply by merging; grid products are rewritten exactly by
-    ``straighten_rows``, restricted to X(w) when w is given.
+    ``straighten_rows``, restricted to X(w) when w is given.  A finished grid
+    expansion is memoized for the process under (n, sorted rows, shape, w),
+    and every call returns a fresh copy of it.  Standard monomials are a
+    basis, so the product has exactly one expansion and no call order can
+    change what a later call returns.
     """
     rows, shape, n = _factor_rows(factors)
     if not rows:
@@ -510,7 +530,11 @@ def expand_product(factors, w=None) -> Expansion:
         return {rows: Fraction(1)}
     if n is None:
         raise BasisMismatchError("cannot infer rank; pass Tableau factors")
-    return straighten_rows(rows, n, w=w)
+    key = (n, rows, shape, None if w is None else tuple(w))
+    exp = _PRODUCT_MEMO.get(key)
+    if exp is None:
+        exp = _PRODUCT_MEMO[key] = straighten_rows(rows, n, w=w)
+    return dict(exp)
 
 
 def expansion_to_json(exp: Expansion) -> list:

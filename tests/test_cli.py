@@ -174,6 +174,7 @@ def test_reports_do_not_depend_on_the_order_of_presets(tmp_path, monkeypatch):
     reports = []
     for order in (presets, presets[::-1]):
         monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+        monkeypatch.setattr(straighten, "_PRODUCT_MEMO", {})
         monkeypatch.setattr(straighten, "_INTERP_CACHE", {})
         got = {}
         for argv in order:
@@ -261,6 +262,8 @@ def test_route_disagreement_exits_1(tmp_path, monkeypatch, capsys):
         return exp
 
     monkeypatch.setattr(straighten, "straighten_rows", skewed)
+    # a memoized product would skip the skewed rewriting
+    monkeypatch.setattr(straighten, "_PRODUCT_MEMO", {})
     out = tmp_path / "report.json"
     code = main([
         "check-generation", "--n", "4", "--w", "5,6,7,8", "--max-gen-degree", "1",

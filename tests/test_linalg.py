@@ -287,6 +287,18 @@ def test_integer_solution_matches_exact_elimination(system):
         assert got.tolist() == reference == x
 
 
+def test_integer_solution_combines_the_primes_past_half_a_prime():
+    """X = 1048580 is above p/2 for every prime: only the combined residues lift to it."""
+    assert all(1048580 > p // 2 for p in PRIMES)
+    assert integer_solution([{0: 1, 1: -1048580}], 1, 2).tolist() == [[1048580]]
+    assert integer_solution([{0: 1, 1: 1048580}], 1, 2).tolist() == [[-1048580]]
+
+
+def test_integer_solution_without_an_integer_answer_is_none():
+    """2 X = 1: the combined lift of 1/2 is too wide to check, and is skipped."""
+    assert integer_solution([{0: 2, 1: -1}], 1, 2) is None
+
+
 def test_integer_solution_widens_past_the_first_3k_equations():
     equations = [{1: 0}] * 3 + [{0: 2, 1: -6}]
     assert integer_solution(equations, 1, 2).tolist() == [[3]]

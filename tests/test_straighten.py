@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smtorus import families, straighten, weyl
-from smtorus.pfaffian import index_from_bset, q_eval, random_skew_point, skew_point
+from smtorus import families, pfaffian, straighten, weyl
+from smtorus.cli import main
+from smtorus.pfaffian import (
+    AsymmetricDualPairError,
+    NotFullFlagIndexError,
+    dual_pair,
+    index_from_bset,
+    q_eval,
+    random_skew_point,
+    skew_point,
+    sub_pfaffian,
+)
 from smtorus.straighten import (
     FuelExhaustedError,
     NotAPfaffianIndexError,
@@ -24,6 +34,7 @@ from smtorus.straighten import (
     straighten_pair,
     straighten_rows,
 )
+from smtorus.tableau import Tableau
 
 from test_linalg import _span_solution
 
@@ -470,3 +481,64 @@ def test_a_prime_dividing_a_point_denominator_is_skipped(monkeypatch):
     (ctx,) = straighten._INTERP_CACHE.values()
     assert ctx.points[0].den % p == 0
     assert ctx.primes == [straighten.linalg.PRIMES[1]]
+
+
+def test_memoized_products_match_fresh_rewriting(tmp_path, monkeypatch):
+    """Every product `reproduce spin8n --n 2` expands equals a rewrite from empty memos."""
+    monkeypatch.setattr(straighten, "_PRODUCT_MEMO", {})
+    assert main(["reproduce", "spin8n", "--n", "2", "--out", str(tmp_path / "report.json")]) == 0
+    memo = dict(straighten._PRODUCT_MEMO)
+    assert len(memo) > 10
+
+    def product(key):
+        n, rows, shape, w = key
+        return expand_product([Tableau(n, shape, rows)], w=w)
+
+    memoized = {key: product(key) for key in memo}
+    assert straighten._PRODUCT_MEMO == memo  # every call above was a hit
+    # a caller that changes its copy leaves the next call's result alone
+    key = next(key for key, exp in memoized.items() if exp)
+    mine = product(key)
+    mine.clear()
+    assert product(key) == memoized[key]
+
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    monkeypatch.setattr(straighten, "_PRODUCT_MEMO", {})
+    monkeypatch.setattr(pfaffian, "_BSET_MEMO", {})
+    for (n, rows, shape, w), exp in memoized.items():
+        assert exp == straighten_rows(rows, n, w=w)
+
+
+@pytest.mark.parametrize(
+    "row, q_error, rows_error",
+    [
+        ((2, 1, 3, 4), NotFullFlagIndexError, NotFullFlagIndexError),  # not increasing
+        ((1, 2, 3, 9), NotFullFlagIndexError, NotFullFlagIndexError),  # out of range
+        ((1, 2, 4, 5), AsymmetricDualPairError, NotAPfaffianIndexError),  # asymmetric
+        ((1, 2, 3, 5), None, NotAPfaffianIndexError),  # odd B-subset: q vanishes
+    ],
+)
+def test_bad_rows_raise_on_every_call_and_stay_unmemoized(monkeypatch, row, q_error, rows_error):
+    monkeypatch.setattr(pfaffian, "_BSET_MEMO", {})
+    pt = random_skew_point(4, Random(5))
+    for _ in range(2):
+        if q_error is None:
+            assert q_eval(row, pt) == 0
+        else:
+            with pytest.raises(q_error):
+                q_eval(row, pt)
+        with pytest.raises(rows_error):
+            straighten_rows((row,), 4)
+    assert pfaffian._BSET_MEMO == {}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_q_eval_is_the_sub_pfaffian_on_the_b_subset(monkeypatch, n):
+    monkeypatch.setattr(pfaffian, "_BSET_MEMO", {})
+    rng = Random(n)
+    rows = weyl.minimal_coset_reps_alpha_n(n)
+    for _ in range(3):  # the first point fills the memo, the others read it
+        pt = random_skew_point(n, rng, -999, 999)
+        for row in rows:
+            assert q_eval(row, pt) == sub_pfaffian(pt, dual_pair(row, n)[1])
+    assert len(pfaffian._BSET_MEMO) == len(rows)
