@@ -18,6 +18,7 @@ PRESETS = [
     ["reproduce", "spin8"],
     ["reproduce", "spin8n", "--n", "2"],
     ["reproduce", "spin8n", "--n", "3"],
+    ["reproduce", "spin8n", "--n", "4"],
     ["reproduce", "p-alpha1"],
     ["reproduce", "sp"],
 ]

@@ -79,8 +79,24 @@ class RingSpec:
         return top_coset_rep(self.n)
 
 
+_BASIS_MEMO: dict = {}
+
+
 def basis(spec: RingSpec, k: int) -> list[Tableau]:
-    """Standard-monomial basis of the degree-k piece."""
+    """Standard-monomial basis of the degree-k piece.
+
+    Each piece is listed once per process, memoized under (kind, n, resolved
+    w, group type, k); ``max_degree`` does not change it.  Every call returns
+    a fresh list of the (frozen) tableaux.
+    """
+    key = (spec.kind, spec.n, spec.resolved_w(), spec.group_type, k)
+    bas = _BASIS_MEMO.get(key)
+    if bas is None:
+        bas = _BASIS_MEMO[key] = _list_basis(spec, k)
+    return list(bas)
+
+
+def _list_basis(spec: RingSpec, k: int) -> list[Tableau]:
     if k == 0:
         return [Tableau(spec.n, spec.kind, (), spec.group_type)]
     if spec.kind == "omega_n":

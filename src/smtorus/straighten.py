@@ -11,18 +11,28 @@ pairs cannot drop) are resolved by solving all exchange relations of their
 content class at once, modulo a prime, with the lifted integer answer checked
 exactly against every relation.  The resulting pair expansions obey the
 two-sided straightening bounds, so substituting them into longer monomials
-strictly lowers the smallest row and the rewriting loop terminates.  Restriction to a
-Schubert variety drops any term using a row not below the defining index and
-may be interleaved with the rewriting.  ``expand_product`` takes this route only.
+strictly lowers the smallest row and the rewriting loop terminates.
+
+A product restricted to a Schubert variety X(w) is straightened on X(w)
+itself, inside the pair recursion: an exchange-relation companion with a row
+not below w is dropped before the descent test, so only the surviving
+companions must descend, and a restricted pair with no descending restricted
+rewrite restricts its full-space expansion instead.  This equals rewriting
+over the whole space and then restricting: restriction to X(w) is a ring map
+that kills exactly the coordinates of rows not below w, and the restricted
+standard monomials are a basis of the coordinate ring of X(w)
+(Lakshmibai-Seshadri), so the restricted expansion is unique.
+``expand_product`` takes this route only.
 
 Three process-wide memos hold finished exact results only: ``_PAIR_MEMO``
-keyed by (n, pair), ``_PRODUCT_MEMO`` keyed by (n, sorted rows, shape, w)
-in ``expand_product``, and ``pfaffian._BSET_MEMO`` from (row, n) to its
-validated B-subset.  Standard monomials are a basis (Lakshmibai-Seshadri), so
-each product has exactly one expansion and the order in which products are
-first expanded cannot change any result.  ``straighten_rows`` itself is not
-memoized: its ``fuel`` tripwire and the direct callers (the CLI's
-``straighten`` command, the interpolation cross-checks) see a full rewrite.
+keyed by (n, pair) for the whole space and by (n, pair, w) on X(w),
+``_PRODUCT_MEMO`` keyed by (n, sorted rows, shape, w) in ``expand_product``,
+and ``pfaffian._BSET_MEMO`` from (row, n) to its validated B-subset.  Standard
+monomials are a basis, so each product has exactly one expansion and the
+order in which products are first expanded cannot change any result.
+``straighten_rows`` itself is not memoized: its ``fuel`` tripwire and the
+direct callers (the CLI's ``straighten`` command, the interpolation
+cross-checks) see a full rewrite.
 
 The test oracle, ``expand_by_interpolation``, runs no rewriting: the standard
 monomials sharing the content of the product are evaluated at random points
@@ -146,7 +156,7 @@ def _bset(row, n):
     return bset
 
 
-def _candidate_rewrites(pair, n):
+def _candidate_rewrites(pair, n, w=None):
     """Exchange rewrites of an incomparable pair, best candidates first.
 
     Toggling an element x of the symmetric difference of the two B-subsets
@@ -154,7 +164,9 @@ def _candidate_rewrites(pair, n):
     remaining terms rewrite it.  Standard companions are sinks; a candidate is
     preferred when each nonstandard companion is strictly smaller than the
     target in the (larger row, smaller row) order, which makes the recursion
-    descend along a well-founded order instead of backtracking.
+    descend along a well-founded order instead of backtracking.  With w given,
+    a companion with a row not below w vanishes on X(w) and is dropped before
+    the descent test, so only the surviving companions must descend.
     """
     s1, s2 = _bset(pair[0], n), _bset(pair[1], n)
     target = tuple(sorted((s1, s2)))
@@ -170,6 +182,8 @@ def _candidate_rewrites(pair, n):
             if key == target or c == 0:
                 continue
             g = sort_rows((index_from_bset(key[0], n), index_from_bset(key[1], n)))
+            if w is not None and not (bruhat_leq(g[0], w) and bruhat_leq(g[1], w)):
+                continue
             if not _comparable(g[0], g[1]) and not (g[1], g[0]) < pair_key:
                 descending = False
                 break
@@ -255,22 +269,32 @@ def _solve_content_class(pair, n) -> None:
 _PAIR_MEMO: dict = {}
 
 
-def _pair_expansion(pair, n):
+def _pair_expansion(pair, n, w=None):
+    """Standard expansion of a sorted pair, on X(w) when w is given.
+
+    A restricted pair has both rows below w (callers drop the others, which
+    vanish on X(w)); its expansion is memoized under (n, pair, w), a
+    full-space one under (n, pair).  A restricted pair with no descending
+    restricted rewrite falls back to its restricted full-space expansion.
+    """
     if _comparable(pair[0], pair[1]):
         return {pair: Fraction(1)}
-    key = (n, pair)
+    key = (n, pair) if w is None else (n, pair, w)
     done = _PAIR_MEMO.get(key)
     if done is not None:
         return done
-    for companions in _candidate_rewrites(pair, n):
+    for companions in _candidate_rewrites(pair, n, w):
         total: Expansion = {}
         for c, g in companions:
-            for rows, v in _pair_expansion(g, n).items():
+            for rows, v in _pair_expansion(g, n, w).items():
                 total[rows] = total.get(rows, Fraction(0)) + c * v
         total = {rows: v for rows, v in total.items() if v}
         _PAIR_MEMO[key] = total
         return total
-    _solve_content_class(pair, n)
+    if w is None:
+        _solve_content_class(pair, n)
+    else:
+        _PAIR_MEMO[key] = restrict_expansion(_pair_expansion(pair, n), w)
     return _PAIR_MEMO[key]
 
 
@@ -295,18 +319,27 @@ def restrict_expansion(exp: Expansion, w) -> Expansion:
     }
 
 
+def _proper_index(w, n):
+    """w as a tuple, or None for the whole space (w None or the top index)."""
+    if w is None or tuple(w) == top_coset_rep(n):
+        return None
+    return tuple(w)
+
+
 def straighten_rows(rows, n, w=None, fuel=None) -> Expansion:
-    """Standard-basis expansion of a product of coordinate rows.
+    """Standard-basis expansion of a product of coordinate rows, on X(w) if w is given.
 
     Each step substitutes the standard expansion of the first incomparable
     pair; the expansion's terms drop strictly below the pair's smaller row, so
-    the monomial multiset decreases and the loop terminates.  With w given,
-    terms are restricted to the Schubert variety as they appear, mirroring how
-    the quadratic relations degenerate there.
+    the monomial multiset decreases and the loop terminates.  With w given
+    (the top index means the whole space), a product with a row not below w
+    is 0, and every substituted pair expansion is already restricted to X(w),
+    so no term with a row not below w ever appears.
     """
     rows = sort_rows(rows)
     for r in rows:
         _bset(r, n)
+    w = _proper_index(w, n)
     if fuel is None:
         # a tripwire, not a semantic bound: unrestricted quadratic expansions
         # at rank 8 already take several hundred substitutions
@@ -330,9 +363,7 @@ def straighten_rows(rows, n, w=None, fuel=None) -> Expansion:
         key, i = pick
         coeff = work.pop(key)
         rest = key[:i] + key[i + 2 :]
-        for pair, c in _pair_expansion(key[i : i + 2], n).items():
-            if w is not None and not all(bruhat_leq(r, w) for r in pair):
-                continue
+        for pair, c in _pair_expansion(key[i : i + 2], n, w).items():
             new_key = sort_rows(rest + pair)
             new_val = work.get(new_key, Fraction(0)) + coeff * c
             if new_val:
@@ -484,12 +515,9 @@ def expand_by_interpolation(rows, n, seed=0, w=None) -> Expansion:
     rows = sort_rows(rows)
     for r in rows:
         _bset(r, n)
-    if w is not None:
-        w = tuple(w)
-        if w == top_coset_rep(n):
-            w = None
-        elif not all(bruhat_leq(r, w) for r in rows):
-            return {}
+    w = _proper_index(w, n)
+    if w is not None and not all(bruhat_leq(r, w) for r in rows):
+        return {}
     return _interpolator(n, len(rows), content_of(rows, n), seed, w).expand(rows)
 
 

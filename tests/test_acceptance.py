@@ -242,12 +242,16 @@ def test_criterion_8_property_suite():
     assert restrict_expansion(full, W6) == expand_by_interpolation(rows, 8, seed=0, w=W6)
     assert restrict_expansion(full, W6) == restricted
 
-    # path agreement at rank 12, where the full-space class is too large to interpolate
-    w12 = families.family_index(6, 3)
-    x12 = {i: families.x_tableau(i, 3) for i in range(1, 7)}
-    for i, j in combinations_with_replacement(range(1, 7), 2):
-        rows = x12[i].rows + x12[j].rows
-        assert expand_by_interpolation(rows, 12, seed=0, w=w12) == straighten_rows(rows, 12, w=w12)
+    # path agreement at ranks 12 and 16, where the full-space class is too large
+    # to interpolate
+    for m in (3, 4):
+        w6 = families.family_index(6, m)
+        xm = {i: families.x_tableau(i, m) for i in range(1, 7)}
+        for i, j in combinations_with_replacement(range(1, 7), 2):
+            rows = xm[i].rows + xm[j].rows
+            assert expand_by_interpolation(rows, 4 * m, seed=0, w=w6) == straighten_rows(
+                rows, 4 * m, w=w6
+            )
 
     # dual-pair dictionaries round-trip exhaustively through rank 4
     for n in (2, 3, 4):

@@ -19,6 +19,7 @@ REPORT_SHA256 = {
     "spin8": "79a1bffee2e129883485e93241bc7b5765ef10c3dc307821a843e6b9bbb3df54",
     "spin8n --n 2": "859b376925d6664d13ad67ad572ce838bb99462db59833fa9c787873ace47348",
     "spin8n --n 3": "e0aea75b804208c9e40f82a34d74c11b54f28663d0bfc1386465eef1e0f05b0e",
+    "spin8n --n 4": "09a77ba757e40de375088119790112a1756fdf5cf74a7971c1956f6679e13a69",
     "p-alpha1": "7d5593ae11ce59f62a736c6a248e7cc185fbfeb3e65cf0e1de3f512807c53fe8",
     "sp": "2c14f09e33aa75637951de7bae1efb24e4b6fc80e0b1eee271e804634f676e01",
     "spin8 text": "413dac25a1ded66026d9317e1fb5f7dd07137878216319a611c5c2e40985c5a3",
@@ -244,6 +245,13 @@ def test_reproduce_spin8n_rank12(tmp_path):
     assert report_sha256(tmp_path) == REPORT_SHA256["spin8n --n 3"]
 
 
+def test_reproduce_spin8n_rank16(tmp_path):
+    code, rep = run(tmp_path, "reproduce", "spin8n", "--n", "4")
+    assert code == 0 and rep["ok"]
+    assert all(c["ok"] for c in rep["claims"])
+    assert report_sha256(tmp_path) == REPORT_SHA256["spin8n --n 4"]
+
+
 def test_invalid_values_exit_2(capsys):
     assert main(["enumerate", "--n", "4", "--w", "1,2,3,5"]) == 2
     assert "smtorus:" in capsys.readouterr().err
@@ -276,7 +284,7 @@ def test_route_disagreement_exits_1(tmp_path, monkeypatch, capsys):
 
 
 def test_unsolved_content_class_exits_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(straighten, "_candidate_rewrites", lambda pair, n: iter(()))
+    monkeypatch.setattr(straighten, "_candidate_rewrites", lambda pair, n, w=None: iter(()))
     monkeypatch.setattr(straighten.linalg, "integer_solution", lambda equations, k, width: None)
     monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
     out = tmp_path / "report.json"

@@ -37,4 +37,5 @@ def test_every_container_a_run_fills_is_a_memo_or_cache(tmp_path, monkeypatch):
     )
     assert "smtorus.straighten._PRODUCT_MEMO" in grown
     assert "smtorus.pfaffian._BSET_MEMO" in grown
+    assert "smtorus.ring._BASIS_MEMO" in grown
     assert [g for g in grown if not _is_memo(g.rsplit(".", 1)[1])] == []

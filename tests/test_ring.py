@@ -1,6 +1,6 @@
 import pytest
 
-from smtorus import families, linalg, ring
+from smtorus import families, linalg, ring, tableau
 from smtorus.ring import (
     AmbiguousMatchError,
     RingSpec,
@@ -161,6 +161,27 @@ def test_dim_matches_enumeration_rank4():
         spec = RingSpec("omega_n", 4, w)
         for k in (1, 2, 3):
             assert dim_graded_piece(spec, k) == len(basis(spec, k))
+
+
+def test_memoized_bases_match_fresh_listing(monkeypatch):
+    """Each piece is listed once, whatever max_degree, and every caller gets its own list."""
+    listed = []
+
+    def spy(n, w, k):
+        listed.append((n, w, k))
+        return tableau.enumerate_basis_omega_n(n, w, k)
+
+    monkeypatch.setattr(ring, "_BASIS_MEMO", {})
+    monkeypatch.setattr(ring, "enumerate_basis_omega_n", spy)
+    w6 = families.family_index(6, 2)
+    for k in range(1, 5):
+        basis(RingSpec("omega_n", 8, w6, max_degree=2), k).clear()
+        assert basis(RingSpec("omega_n", 8, w6, max_degree=4), k) == (
+            tableau.enumerate_basis_omega_n(8, w6, k)
+        )
+    # None and the top index name the same piece
+    assert basis(RingSpec("omega_n", 4, None), 2) == basis(FULL4, 2)
+    assert listed == [(8, w6, k) for k in range(1, 5)] + [(4, (5, 6, 7, 8), 2)]
 
 
 def test_generation_by_minimal_set_on_largest_member():

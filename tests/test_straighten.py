@@ -542,3 +542,83 @@ def test_q_eval_is_the_sub_pfaffian_on_the_b_subset(monkeypatch, n):
         for row in rows:
             assert q_eval(row, pt) == sub_pfaffian(pt, dual_pair(row, n)[1])
     assert len(pfaffian._BSET_MEMO) == len(rows)
+
+
+def _full_then_restrict(rows, n, w):
+    """Rewriting with full-space pair expansions, dropping each substituted
+    term with a row not below w: the route taken before restriction moved
+    into the pair recursion."""
+
+    def below(rs):
+        return all(weyl.bruhat_leq(r, w) for r in rs)
+
+    work = {rows: Fraction(1)} if below(rows) else {}
+    while True:
+        pick = None
+        for key in sorted(work):
+            i = first_violation(key)
+            if i is not None:
+                pick = (key, i)
+                break
+        if pick is None:
+            return work
+        key, i = pick
+        coeff = work.pop(key)
+        for pair, c in straighten._pair_expansion(key[i : i + 2], n).items():
+            if below(pair):
+                new_key = sort_rows(key[:i] + key[i + 2 :] + pair)
+                work[new_key] = work.get(new_key, Fraction(0)) + coeff * c
+                if not work[new_key]:
+                    del work[new_key]
+
+
+@pytest.mark.parametrize(
+    "preset, products",
+    [("spin8", 37), ("spin8n --n 2", 331), ("spin8n --n 3", 331)],
+)
+def test_restricted_rewriting_matches_full_then_restrict(tmp_path, monkeypatch, preset, products):
+    """Every restricted product a preset expands, against full-space pair expansions."""
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    monkeypatch.setattr(straighten, "_PRODUCT_MEMO", {})
+    out = str(tmp_path / "report.json")
+    assert main(["reproduce", *preset.split(), "--out", out]) == 0
+    restricted = [key for key in straighten._PRODUCT_MEMO if key[3] is not None]
+    assert len(restricted) == products
+    for n, rows, shape, w in restricted:
+        assert expand_product([Tableau(n, shape, rows)], w=w) == _full_then_restrict(rows, n, w)
+
+
+def _restricted_pair(n, w):
+    """The first incomparable pair of rows below w."""
+    below = [r for r in weyl.minimal_coset_reps_alpha_n(n) if weyl.bruhat_leq(r, w)]
+    return next(sort_rows(p) for p in combinations(below, 2) if not is_standard_rows(p))
+
+
+@pytest.mark.parametrize("n, w", [(4, families.SPIN8_W1), (8, W6)])
+def test_restricted_pair_without_a_restricted_rewrite_restricts_the_full_expansion(
+    monkeypatch, n, w
+):
+    real = straighten._candidate_rewrites
+
+    def full_space_only(pair, n, w=None):
+        return iter(()) if w is not None else real(pair, n)
+
+    monkeypatch.setattr(straighten, "_candidate_rewrites", full_space_only)
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    pair = _restricted_pair(n, w)
+    got = straighten._pair_expansion(pair, n, w)
+    assert got == restrict_expansion(straighten._pair_expansion(pair, n), w)
+    assert straighten._PAIR_MEMO[(n, pair, w)] == got
+    if n == 4:
+        assert pair == RANK4_PAIR and got == {G3: 1}
+
+
+def test_restricted_pair_entries_never_answer_a_full_space_lookup(monkeypatch):
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    rows = X[2].rows + X[5].rows
+    on_w6 = straighten_rows(rows, 8, w=W6)
+    assert any(len(key) == 3 for key in straighten._PAIR_MEMO)
+    full = straighten_rows(rows, 8)
+    assert len(on_w6) == 3 and len(full) > 3
+    monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
+    assert full == straighten_rows(rows, 8)
