@@ -9,9 +9,13 @@ it is pinned by golden tests on the rank-4 straightening identity.
 The dictionary between Grassmannian index vectors and subsets (the "dual
 pair") makes each transversal index vector i with evenly many entries above n
 a coordinate function q_i = P(B) on the space of skew matrices.  A skew
-point keeps integer numerators over one common denominator, so the Pfaffian
-recursion runs on Python ints; `schubert_point` draws rational points of a
-Schubert variety in the chart around e_1..e_n.
+point keeps integer numerators over one common denominator den, so the
+Pfaffian recursion runs on Python ints and a sub-Pfaffian on 2m members is its
+integer numerator over den^m.  Products and sums are formed on those integers
+too: a product of coordinates on 2h members in all is one integer over den^h,
+and terms are added per power of den, so each result divides once.
+`schubert_point` draws rational points of a Schubert variety in the chart
+around e_1..e_n.
 """
 
 from __future__ import annotations
@@ -208,22 +212,44 @@ def sub_pfaffian(point: SkewPoint, members) -> Fraction:
     >>> sub_pfaffian(p, ())
     Fraction(1, 1)
     """
+    num, half = _sub_numerator(point, members)
+    return Fraction(num, point.den**half)
+
+
+def _sub_numerator(point: SkewPoint, members) -> tuple[int, int]:
+    """The sub-Pfaffian on `members` as (integer numerator, m) over den**m."""
     s = tuple(sorted(members))
     if any(not 1 <= v <= point.n for v in s) or len(set(s)) != len(s):
         raise PfaffianError(f"subset {s} not within 1..{point.n}")
-    return Fraction(_pf(point.num, s, point._cache), point.den ** (len(s) // 2))
+    return _pf(point.num, s, point._cache), len(s) // 2
 
 
 def _pf(upper, members: Subset, cache: dict, p: int | None = None):
     """Pfaffian on the sorted `members` by first-row expansion, memoized in `cache`.
 
-    `upper` maps (i, j) with i < j to an integer entry.  With a modulus p the
-    entries are residues mod p and so is the value.
+    `upper` maps (i, j) with i < j to an integer entry; a missing key is 0.
+    With a modulus p the entries are residues mod p and so is the value.  Two
+    and four members take the closed forms a_12 and
+    a_12 a_34 - a_13 a_24 + a_14 a_23, which are not memoized: only six or
+    more members recurse and fill `cache`.
     """
-    if len(members) % 2:
+    size = len(members)
+    if size % 2:
         return 0
-    if not members:
-        return 1
+    if size <= 4:
+        if not size:
+            return 1
+        get = upper.get
+        if size == 2:
+            val = get(members, 0)
+        else:
+            i, j, k, m = members
+            val = (
+                get((i, j), 0) * get((k, m), 0)
+                - get((i, k), 0) * get((j, m), 0)
+                + get((i, m), 0) * get((j, k), 0)
+            )
+        return val if p is None else val % p
     val = cache.get(members)
     if val is not None:
         return val
@@ -238,6 +264,11 @@ def _pf(upper, members: Subset, cache: dict, p: int | None = None):
         total %= p
     cache[members] = total
     return total
+
+
+def _over_den_powers(totals: dict[int, int], den: int, scale: int = 1) -> Fraction:
+    """The sum over h of totals[h] / (scale * den**h): one division per power of den."""
+    return sum((Fraction(t, scale * den**h) for h, t in totals.items()), Fraction(0))
 
 
 def pfaffian(point: SkewPoint) -> Fraction:
@@ -330,9 +361,20 @@ def _symmetric_bset(iv: IndexVector, n: int) -> Subset:
     return bset
 
 
+def _q_numerator(iv: IndexVector, point: SkewPoint) -> tuple[int, int]:
+    """q_iv at a skew point as (integer numerator, h): its value is num / den**h.
+
+    `_symmetric_bset` validates the row on every call; h is half the size of
+    its B-subset.
+    """
+    bset = _symmetric_bset(iv, point.n)
+    return _pf(point.num, bset, point._cache), len(bset) // 2
+
+
 def q_eval(iv: IndexVector, point: SkewPoint) -> Fraction:
-    """Value of the Pfaffian coordinate q_iv at a skew point."""
-    return sub_pfaffian(point, _symmetric_bset(iv, point.n))
+    """Value of the Pfaffian coordinate q_iv at a skew point: `_q_numerator` over den**h."""
+    num, half = _q_numerator(iv, point)
+    return Fraction(num, point.den**half)
 
 
 @dataclass(frozen=True)
@@ -361,10 +403,19 @@ def exchange_relation(i_set, j_set) -> PfaffianRelation:
 
 
 def evaluate_relation(rel: PfaffianRelation, point: SkewPoint) -> Fraction:
-    total = Fraction(0)
+    """The relation's value at a skew point, summed on integer numerators.
+
+    Each term toggles one element in each of two odd subsets, so every term of
+    an exchange relation shares |left| + |right| and the sum is one integer
+    over one power of den; terms are still added per power, so a hand-built
+    relation stays exact.
+    """
+    totals: dict[int, int] = {}
     for sign, left, right in rel.terms:
-        total += sign * sub_pfaffian(point, left) * sub_pfaffian(point, right)
-    return total
+        a, ha = _sub_numerator(point, left)
+        b, hb = _sub_numerator(point, right)
+        totals[ha + hb] = totals.get(ha + hb, 0) + sign * a * b
+    return _over_den_powers(totals, point.den)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -51,19 +51,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from random import Random
 
 import numpy as np
 
 from . import linalg
 from .pfaffian import (
+    _over_den_powers,
     _pf,
+    _q_numerator,
     _symmetric_bset,
     AsymmetricDualPairError,
     SkewPoint,
     index_from_bset,
     exchange_relation,
-    q_eval,
     random_skew_point,
     schubert_point,
 )
@@ -380,15 +382,39 @@ def content_of(rows, n) -> dict[int, int]:
     return counts
 
 
-def evaluate_rows(rows, point) -> Fraction:
-    val = Fraction(1)
+def _rows_numerator(rows, point) -> tuple[int, int]:
+    """The product of the rows' coordinates as (integer numerator, h) over den**h.
+
+    Every row is validated, also after a factor that vanishes.
+    """
+    product, half = 1, 0
     for r in rows:
-        val *= q_eval(r, point)
-    return val
+        num, h = _q_numerator(r, point)
+        product *= num
+        half += h
+    return product, half
+
+
+def evaluate_rows(rows, point) -> Fraction:
+    """The product of the rows' coordinates at a skew point, divided once by den**h."""
+    num, half = _rows_numerator(rows, point)
+    return Fraction(num, point.den**half)
 
 
 def evaluate_expansion(exp: Expansion, point) -> Fraction:
-    return sum((c * evaluate_rows(rows, point) for rows, c in exp.items()), Fraction(0))
+    """An expansion's value at a skew point, summed on integer numerators.
+
+    The coefficients are brought to one common denominator, and the terms are
+    added per power of den and divided once per power.  Every term of a
+    straightened expansion shares one power, since the content fixes how many
+    entries exceed n; a hand-built expansion that mixes powers stays exact.
+    """
+    scale = lcm(*(c.denominator for c in exp.values()))
+    totals: dict[int, int] = {}
+    for rows, c in exp.items():
+        num, half = _rows_numerator(rows, point)
+        totals[half] = totals.get(half, 0) + c.numerator * (scale // c.denominator) * num
+    return _over_den_powers(totals, point.den, scale)
 
 
 class _Interpolator:

@@ -101,6 +101,35 @@ def test_mod_p_pfaffian_matches_oracle(p):
                 assert _pf(residues, sub, cache, p) == matching_sum_pfaffian(pt, sub) % p
 
 
+@pytest.mark.parametrize("p", [None, PRIMES[0], 101])
+def test_pf_on_sparse_points_matches_oracle(p):
+    """Missing keys, zero entries and entries divisible by p, on every even subset.
+
+    The two- and four-member closed forms then meet zero residues, which the
+    dense points above never give them.
+    """
+    rng = Random(f"sparse:{p}")
+    n = 8
+    subsets = [s for size in range(0, n + 1, 2) for s in combinations(range(1, n + 1), size)]
+    for _ in range(4):
+        upper = {}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                kind = rng.randrange(4)
+                if kind == 1:
+                    upper[(i, j)] = 0
+                elif kind == 2:
+                    upper[(i, j)] = (p or 101) * rng.randint(-(10**6), 10**6)
+                elif kind == 3:
+                    upper[(i, j)] = rng.randint(-(10**9), 10**9)
+        pt = skew_point(n, upper)
+        entries = upper if p is None else {key: v % p for key, v in upper.items()}
+        cache: dict = {}
+        for sub in subsets:
+            want = matching_sum_pfaffian(pt, sub)
+            assert _pf(entries, sub, cache, p) == (want if p is None else want % p), sub
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-50, 50), min_size=15, max_size=15))
 def test_pfaffian_square_property(entries):
@@ -217,14 +246,14 @@ def test_skew_point_derives_its_numerators_from_upper():
     assert pfaffian(pt) == matching_sum_pfaffian(pt) == Fraction(1, 3) * 2 - Fraction(5, 6) * 7
 
 
-def _rational_points(max_n):
-    """Skew points of size 2..max_n whose entries are a / b with mixed and negative b."""
+def _rational_points(max_n, min_n=2):
+    """Skew points of size min_n..max_n whose entries are a / b with mixed and negative b."""
     ratio = st.builds(
         Fraction,
         st.integers(-60, 60),
         st.integers(-15, 15).filter(bool),
     )
-    return st.integers(2, max_n).flatmap(
+    return st.integers(min_n, max_n).flatmap(
         lambda n: st.lists(
             ratio, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
         ).map(

@@ -13,8 +13,10 @@ from smtorus.pfaffian import (
     NotFullFlagIndexError,
     dual_pair,
     index_from_bset,
+    matching_sum_pfaffian,
     q_eval,
     random_skew_point,
+    schubert_point,
     skew_point,
     sub_pfaffian,
 )
@@ -37,6 +39,7 @@ from smtorus.straighten import (
 from smtorus.tableau import Tableau
 
 from test_linalg import _span_solution
+from test_pfaffian import _rational_points
 
 G1, G2, G3 = families.SPIN8_DEG1_ROWS
 W6 = families.family_index(6, 2)
@@ -529,6 +532,15 @@ def test_bad_rows_raise_on_every_call_and_stay_unmemoized(monkeypatch, row, q_er
                 q_eval(row, pt)
         with pytest.raises(rows_error):
             straighten_rows((row,), 4)
+        for evaluate in (
+            lambda: evaluate_rows((row, row), pt),
+            lambda: evaluate_expansion({(row,): Fraction(2)}, pt),
+        ):
+            if q_error is None:
+                assert evaluate() == 0
+            else:
+                with pytest.raises(q_error):
+                    evaluate()
     assert pfaffian._BSET_MEMO == {}
 
 
@@ -622,3 +634,69 @@ def test_restricted_pair_entries_never_answer_a_full_space_lookup(monkeypatch):
     assert len(on_w6) == 3 and len(full) > 3
     monkeypatch.setattr(straighten, "_PAIR_MEMO", {})
     assert full == straighten_rows(rows, 8)
+
+
+def _oracle_rows(rows, pt):
+    """The product by matching sums on each row's B-subset: no recursion, no memo."""
+    val = Fraction(1)
+    for r in rows:
+        val *= matching_sum_pfaffian(pt, dual_pair(r, pt.n)[1])
+    return val
+
+
+def _oracle_expansion(exp, pt):
+    return sum((c * _oracle_rows(rows, pt) for rows, c in exp.items()), Fraction(0))
+
+
+def _mixed_expansion(n, w=None):
+    """A hand-built expansion whose terms carry den to the powers 0, 1 and 3."""
+    by_size = {}
+    for r in weyl.minimal_coset_reps_alpha_n(n):
+        if w is None or weyl.bruhat_leq(r, w):
+            by_size.setdefault(len(dual_pair(r, n)[1]), r)
+    return {
+        (by_size[0],): Fraction(3, 2),
+        (by_size[2],): Fraction(-2, 5),
+        sort_rows((by_size[2], by_size[4])): Fraction(7),
+    }
+
+
+def _check_evaluation_against_oracle(pt, expansions, w=None):
+    n = pt.n
+    odd = index_from_bset((n,), n)  # a one-element B-subset: q vanishes
+    mixed = _mixed_expansion(n, w)
+    with_odd = dict(mixed)
+    with_odd[sort_rows((odd, odd))] = Fraction(5)
+    for exp in expansions + [mixed, with_odd, {}]:
+        assert evaluate_expansion(exp, pt) == _oracle_expansion(exp, pt)
+        for rows in exp:
+            assert evaluate_rows(rows, pt) == _oracle_rows(rows, pt)
+    assert evaluate_rows((odd,), pt) == 0
+    assert evaluate_rows(next(iter(mixed)) + (odd,), pt) == 0
+
+
+def _straightened(n, w=None):
+    """A few pair expansions and one degree-3 expansion from straighten_rows."""
+    reps = [r for r in weyl.minimal_coset_reps_alpha_n(n) if w is None or weyl.bruhat_leq(r, w)]
+    pairs = [(a, b) for a, b in combinations(reps, 2) if not is_standard_rows((a, b))]
+    picked = pairs[:: max(1, len(pairs) // 4)][:4]
+    products = picked + [picked[0] + (reps[len(reps) // 2],)]
+    return [straighten_rows(rows, n, w=w) for rows in products]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rational_points(6, min_n=4))
+def test_evaluation_matches_matching_sums_at_rational_points(pt):
+    """Integer products over den**h against Fraction matching sums, ranks 4-6."""
+    _check_evaluation_against_oracle(pt, _straightened(pt.n))
+
+
+def test_evaluation_matches_matching_sums_at_schubert_points():
+    """The same at points of X(W6) at rank 8, whose denominators exceed 1."""
+    rng = Random("evaluation-oracle")
+    expansions = _straightened(8, W6) + [straighten_rows(RANK8_PAIR, 8)]
+    assert all(expansions)
+    for _ in range(2):
+        pt = schubert_point(W6, 8, rng)
+        assert pt.den > 1
+        _check_evaluation_against_oracle(pt, expansions, W6)
