@@ -19,6 +19,7 @@ PRESETS = [
     ["reproduce", "spin8n", "--n", "2"],
     ["reproduce", "spin8n", "--n", "3"],
     ["reproduce", "spin8n", "--n", "4"],
+    ["reproduce", "spin8n", "--n", "5"],
     ["reproduce", "p-alpha1"],
     ["reproduce", "sp"],
 ]

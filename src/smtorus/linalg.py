@@ -4,9 +4,12 @@
 ``fractions.Fraction`` in fully reduced row echelon form, and every membership
 test, kernel, determinant and uncertified rank adds rows to a ``Span`` and
 reads the answer off its pivot rows.  ``_pivot`` is the one elimination mod a
-prime.  ``certified_rank`` reduces rows through it: rank mod p <= rank over Q
+prime.  ``certified_ranks`` reduces rows through it: rank mod p <= rank over Q
 <= min(rows, columns), so a modular rank that reaches the minimum is the exact
-rank, and otherwise the caller falls back to a ``Span``.  ``integer_solution``
+rank, and otherwise the caller falls back to a ``Span``.  It ranks the
+prefixes of several row streams in one growing echelon basis, so nested
+generator sets share one elimination per degree: each chunk of rows is
+reduced by the basis in one product and pivoted alone.  ``integer_solution``
 reads content-class solves off its reduced rows, and ``inverse_mod`` applies
 its pivots in blocks for interpolation.  Primes are below 2^21: every product
 of residues goes through BLAS in chunks whose sums stay below 2^53, so each
@@ -30,7 +33,7 @@ __all__ = [
     "matvec_mod",
     "inverse_mod",
     "products_mod",
-    "certified_rank",
+    "certified_ranks",
     "integer_solution",
     "crt",
     "symmetric_mod",
@@ -261,34 +264,46 @@ def products_mod(qmat, idx, p):
     return vals
 
 
-def certified_rank(rows, length):
-    """Rank of sparse rational rows ``{column: value}``, or None if p does not certify it.
+def certified_ranks(streams, length):
+    """Rank of each growing prefix of a list of row streams, or None where p does not certify it.
 
-    Every row is consumed and scaled to integers by the lcm of its
-    denominators.  Modulo p = ``PRIMES[0]``, each chunk of ``length`` rows is
-    stacked under the reduced echelon basis found so far and ``_pivot`` keeps
-    the new basis; once the basis is full the remaining rows are only
-    counted.  The rank mod p is returned when it reaches min(rows, length),
-    which bounds the rank over Q.  Raises OverflowError if p is too wide for
-    float64.
+    The streams are read in order as one stream of rows ``{column: value}``,
+    and entry i is the rank of streams 0..i together.  Every row is consumed
+    and scaled to integers by the lcm of its denominators.  Modulo p =
+    ``PRIMES[0]`` one reduced echelon basis grows: each chunk of ``length``
+    rows is reduced by the basis in one product, ``_pivot`` reduces the chunk
+    alone, a second product clears the chunk's new pivot columns from the
+    basis, and the chunk's pivot rows join it.  Once the basis is full the
+    remaining rows are only counted.  An entry is the rank mod p when that
+    reaches min(rows so far, length), which bounds the rank over Q.  Raises
+    OverflowError if p is too wide for float64.
     """
     p = PRIMES[0]
-    _chunk(p)  # the bound check: each pivot step adds one product of residues
-    rows = iter(rows)
+    _chunk(p)  # the bound check: every product of residues goes through _matmul_mod or _pivot
     basis = np.zeros((0, length))
+    cols: list[int] = []  # the pivot column of each basis row
     count = 0
-    while chunk := list(islice(rows, max(length, 1))):
-        count += len(chunk)
-        if len(basis) == length:
-            continue
-        a = np.zeros((len(basis) + len(chunk), length))
-        a[: len(basis)] = basis
-        for i, row in enumerate(chunk, len(basis)):
-            scale = lcm(*(c.denominator for c in row.values()))
-            for j, c in row.items():
-                a[i, j] = c.numerator * (scale // c.denominator) % p
-        basis = a[: len(_pivot(a, length, p))]
-    return len(basis) if len(basis) == min(count, length) else None
+    ranks = []
+    for stream in streams:
+        rows = iter(stream)
+        while chunk := list(islice(rows, max(length, 1))):
+            count += len(chunk)
+            if len(basis) == length:
+                continue
+            a = np.zeros((len(chunk), length))
+            for i, row in enumerate(chunk):
+                scale = lcm(*(c.denominator for c in row.values()))
+                for j, c in row.items():
+                    a[i, j] = c.numerator * (scale // c.denominator) % p
+            a = (a - _matmul_mod(a[:, cols], basis, p)) % p
+            new = a[: len(_pivot(a, length, p))]
+            # a pivot row is 0 before its pivot column, where it is 1
+            new_cols = np.argmax(new != 0, axis=1).tolist()
+            basis = (basis - _matmul_mod(basis[:, new_cols], new, p)) % p
+            basis = np.concatenate([basis, new])
+            cols += new_cols
+        ranks.append(len(basis) if len(basis) == min(count, length) else None)
+    return ranks
 
 
 def _dense(equations, width):

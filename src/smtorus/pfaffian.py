@@ -37,8 +37,6 @@ __all__ = [
     "skew_point",
     "random_skew_point",
     "schubert_point",
-    "skew_point_to_json",
-    "skew_point_from_json",
     "skew_determinant",
     "pfaffian",
     "sub_pfaffian",
@@ -185,17 +183,6 @@ def schubert_point(w: IndexVector, n: int, rng: Random) -> SkewPoint:
             if s > t:
                 upper[(t, s)] = Fraction(a, d)
     return skew_point(n, upper)
-
-
-def skew_point_to_json(point: SkewPoint) -> dict:
-    return {
-        "n": point.n,
-        "upper": [[i, j, str(v)] for (i, j), v in sorted(point.upper.items())],
-    }
-
-
-def skew_point_from_json(obj) -> SkewPoint:
-    return skew_point(int(obj["n"]), {(int(i), int(j)): Fraction(v) for i, j, v in obj["upper"]})
 
 
 def skew_determinant(point: SkewPoint, members=None) -> Fraction:

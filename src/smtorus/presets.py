@@ -159,7 +159,8 @@ def spin8n(seed: int, n: int) -> dict:
 
     basis2 = ring.basis(spec6, 2)
     rel = ring.relations_in_degree(spec6, 2)
-    gen1 = ring.check_generation(spec6, 1)
+    xs = [X[i] for i in range(1, 7)]
+    gen1, gen_min, gen2 = ring.check_generation_chain(spec6, [xs, xs + [Y[1]], basis1 + basis2])
     outside = [t.rows for d, t in rel.generators if d == 2]
     claim(claims, "exactly the four tableaux Y_1..Y_4 lie outside degree-1 products",
           sorted(outside) == sorted(Y[j].rows for j in range(1, 5)),
@@ -195,12 +196,8 @@ def spin8n(seed: int, n: int) -> dict:
     claim(claims, "degree-1 elements do not generate (failure at degree 2)",
           not gen1.generated and gen1.per_degree[2][3] is False,
           per_degree=list(gen1.per_degree))
-    gen2 = ring.check_generation(spec6, 2)
     claim(claims, "degrees one and two generate through degree 4", gen2.generated,
           per_degree=list(gen2.per_degree))
-    gen_min = ring.check_generation(
-        spec6, 2, generators=[X[i] for i in range(1, 7)] + [Y[1]]
-    )
     claim(claims, "the six degree-1 tableaux and Y_1 alone generate", gen_min.generated,
           per_degree=list(gen_min.per_degree))
     even = ring.hilbert_even(spec6, 2)

@@ -9,7 +9,7 @@ values of Veronese embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -40,6 +40,7 @@ __all__ = [
     "hilbert_even",
     "GenerationReport",
     "check_generation",
+    "check_generation_chain",
     "RelationSpace",
     "new_generators",
     "relations_in_degree",
@@ -185,40 +186,73 @@ def check_generation(spec: RingSpec, max_gen_degree: int, generators=None) -> Ge
     """Do products of low-degree elements span every graded piece up to max_degree?
 
     Generators default to the full standard basis in degrees 1..max_gen_degree;
-    an explicit list of tableaux may be supplied instead.
-
-    Each degree's rank comes from ``linalg.certified_rank`` on the streamed
-    product rows, every one still expanded and checked against the basis.  It
-    is exact because rank mod p <= rank over Q <= min(products, basis size); a
-    degree whose modular rank stays below that bound is redone by ``linalg.Span``.
+    an explicit list of tableaux may be supplied instead.  This is
+    ``check_generation_chain`` on that one set.
     """
     if generators is None:
-        gens = []
-        for d in range(1, max_gen_degree + 1):
-            gens += [(d, t) for t in basis(spec, d)]
-    else:
-        gens = [(t.degree, t) for t in generators]
-    degrees = [d for d, _ in gens]
-    rows = []
+        generators = [t for d in range(1, max_gen_degree + 1) for t in basis(spec, d)]
+    (report,) = check_generation_chain(spec, [generators])
+    return replace(report, max_gen_degree=max_gen_degree)
+
+
+def _new_positions(prev, cur) -> list[int]:
+    """Positions in cur left over once each tableau of prev has taken the first free equal one."""
+    new = list(range(len(cur)))
+    for t in prev:
+        j = next((j for j in new if cur[j] == t), None)
+        if j is None:
+            raise RingError("each generator set must contain the previous one")
+        new.remove(j)
+    return new
+
+
+def check_generation_chain(spec: RingSpec, generator_sets) -> list[GenerationReport]:
+    """``check_generation`` for nested lists of tableaux, in one pass per degree.
+
+    Each list must contain the previous one as a multiset.  Per degree, stream
+    0 holds the first set's products and stream i the products of set i that
+    use one of its generators left over from set i - 1, so streams 0..i hold
+    every product of set i, repeats included.  ``linalg.certified_ranks``
+    ranks those prefixes in one elimination, every row still expanded and
+    checked against the basis.  A rank is exact because rank mod p <= rank
+    over Q <= min(products, basis size); a prefix whose modular rank stays
+    below that bound is redone by one ``linalg.Span`` that grows stream by
+    stream.  One report per set, in order.
+    """
+    sets = [list(gens) for gens in generator_sets]
+    degrees = [[t.degree for t in gens] for gens in sets]
+    fresh = [None] + [set(_new_positions(prev, cur)) for prev, cur in zip(sets, sets[1:])]
+    rows = [[] for _ in sets]
     for k in range(spec.max_degree + 1):
         bas = basis(spec, k)
         index = {t.rows: i for i, t in enumerate(bas)}
-        products = [[gens[j][1] for j in ms] for ms in _degree_multisets(degrees, k)]
-        dim = linalg.certified_rank(
-            (_positions(_expand(f, spec), index) for f in products), len(bas)
+        streams = []
+        for gens, degs, new in zip(sets, degrees, fresh):
+            products = _degree_multisets(degs, k)
+            if new is not None:
+                products = [ms for ms in products if not new.isdisjoint(ms)]
+            streams.append([[gens[j] for j in ms] for ms in products])
+        dims = linalg.certified_ranks(
+            [(_positions(_expand(f, spec), index) for f in stream) for stream in streams],
+            len(bas),
         )
-        if dim is None:
-            span = linalg.Span(len(bas))
-            for f in products:
-                span.add(_coordinates(_expand(f, spec), index))
-            dim = span.dim
-        rows.append((k, len(bas), dim, dim == len(bas)))
-    return GenerationReport(
-        max_gen_degree=max_gen_degree,
-        per_degree=tuple(rows),
-        generated=all(r[3] for r in rows),
-        generator_degrees=tuple(degrees),
-    )
+        span = linalg.Span(len(bas))
+        for i, dim in enumerate(dims):
+            if None in dims[i:]:
+                for f in streams[i]:
+                    span.add(_coordinates(_expand(f, spec), index))
+            if dim is None:
+                dim = span.dim
+            rows[i].append((k, len(bas), dim, dim == len(bas)))
+    return [
+        GenerationReport(
+            max_gen_degree=max(degs, default=0),
+            per_degree=tuple(per_degree),
+            generated=all(r[3] for r in per_degree),
+            generator_degrees=tuple(degs),
+        )
+        for degs, per_degree in zip(degrees, rows)
+    ]
 
 
 @dataclass(frozen=True)

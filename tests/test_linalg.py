@@ -11,7 +11,7 @@ from smtorus import linalg
 from smtorus.linalg import (
     PRIMES,
     Span,
-    certified_rank,
+    certified_ranks,
     frac_det,
     integer_solution,
     inverse_mod,
@@ -46,7 +46,7 @@ def test_certified_rank_refuses_wide_primes(monkeypatch):
     monkeypatch.setattr(linalg, "PRIMES", (WIDE,))
     for rows in ([], [{0: 1}]):
         with pytest.raises(OverflowError):
-            certified_rank(iter(rows), 1)
+            certified_ranks([iter(rows)], 1)
 
 
 def test_integer_solution_refuses_an_int64_overflow():
@@ -335,7 +335,7 @@ def dependent_matrices():
 
 
 def many_row_matrices():
-    """More than twice as many rows as columns, so that certified_rank reduces several chunks.
+    """More than twice as many rows as columns, so that certified_ranks reduces several chunks.
 
     The rows combine up to three rows of entries in [-5, 5] with coefficients
     in [-1, 1], so the entries stay below 16 in absolute value.
@@ -362,16 +362,33 @@ def test_certified_rank_matches_exact_elimination(matrix):
     """Minors of these entries stay far below PRIMES[0], so the rank mod p is the rank."""
     rows, length = _sparse(matrix), len(matrix[0])
     exact = _span_rank(rows, length)
-    got = certified_rank(iter(rows), length)
+    (got,) = certified_ranks([iter(rows)], length)
     assert (got is None) == (exact < min(len(rows), length))
     assert got is None or got == exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dependent_matrices(), many_row_matrices()), st.data())
+def test_certified_ranks_of_stream_prefixes_match_exact_elimination(matrix, data):
+    """Rows cut into 1-4 streams, some empty: each prefix's rank is its exact rank or None."""
+    rows, length = _sparse(matrix), len(matrix[0])
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    bounds = list(zip([0] + cuts, cuts + [len(rows)]))
+    got = certified_ranks([iter(rows[a:b]) for a, b in bounds], length)
+    assert len(got) == len(bounds)
+    for rank, (_, b) in zip(got, bounds):
+        exact = _span_rank(rows[:b], length)
+        assert rank is None or rank == exact
+        # the minors stay below p, so rows independent over Q are independent mod p
+        assert (rank is None) == (exact < min(b, length))
 
 
 def test_certified_rank_declines_rows_that_vanish_mod_p():
     p = PRIMES[0]
     rows = [{0: p, 1: 2 * p}, {1: p}]
     assert _span_rank(rows, 2) == 2
-    assert certified_rank(iter(rows), 2) is None
+    assert certified_ranks([iter(rows)], 2) == [None]
+    assert certified_ranks([iter(rows[:1]), iter(rows[1:])], 2) == [None, None]
 
 
 def test_certified_rank_scales_out_a_denominator_of_p():
@@ -379,15 +396,21 @@ def test_certified_rank_scales_out_a_denominator_of_p():
     p = PRIMES[0]
     dependent = [{0: Fraction(1, p), 1: 1}, {0: 1, 1: p}]
     assert _span_rank(dependent, 2) == 1
-    assert certified_rank(iter(dependent), 2) is None
+    assert certified_ranks([iter(dependent)], 2) == [None]
+    assert certified_ranks([iter(dependent[:1]), iter(dependent[1:])], 2) == [1, None]
     independent = [{0: Fraction(1, p), 1: 1}, {1: Fraction(3, 2 * p)}]
-    assert certified_rank(iter(independent), 2) == _span_rank(independent, 2) == 2
+    assert certified_ranks([iter(independent)], 2) == [_span_rank(independent, 2)] == [2]
 
 
 def test_certified_rank_consumes_every_row():
     rows = [{0: 1}, {0: 2}, {0: 3}, {}]
     seen = []
-    assert certified_rank((seen.append(row) or row for row in rows), 1) == 1
+    assert certified_ranks([(seen.append(row) or row for row in rows)], 1) == [1]
     assert seen == rows
-    assert certified_rank(iter([]), 3) == 0
-    assert certified_rank(iter([{}]), 0) == 0
+    seen.clear()
+    streams = [rows[:1], [], rows[1:]]
+    assert certified_ranks([(seen.append(row) or row for row in s) for s in streams], 1) == [1, 1, 1]
+    assert seen == rows
+    assert certified_ranks([iter([])], 3) == [0]
+    assert certified_ranks([iter([{}])], 0) == [0]
+    assert certified_ranks([], 3) == []

@@ -27,8 +27,6 @@ from smtorus.pfaffian import (
     schubert_point,
     skew_determinant,
     skew_point,
-    skew_point_from_json,
-    skew_point_to_json,
     sub_pfaffian,
 )
 from smtorus.weyl import bruhat_leq, minimal_coset_reps_alpha_n, top_coset_rep
@@ -231,12 +229,6 @@ def test_exchange_relations_vanish_at_random_points():
         rel = exchange_relation(i_set, j_set)
         for _ in range(20):
             assert evaluate_relation(rel, random_skew_point(n, rng, 1, 10**4)) == 0
-
-
-def test_skew_point_json_roundtrip():
-    pt = skew_point(3, {(1, 2): Fraction(1, 3), (2, 3): -4})
-    back = skew_point_from_json(skew_point_to_json(pt))
-    assert back.n == 3 and back.upper == pt.upper
 
 
 def test_skew_point_derives_its_numerators_from_upper():

@@ -6,6 +6,7 @@ from smtorus.ring import (
     RingSpec,
     basis,
     check_generation,
+    check_generation_chain,
     dim_graded_piece,
     has_semistable,
     hilbert,
@@ -211,16 +212,23 @@ def _span_per_degree(spec, gens):
     return tuple(rows)
 
 
-def test_generation_falls_back_to_exact_ranks_for_dependent_products(monkeypatch):
-    """Repeated generators give dependent rows, fewer than the basis: no prime certifies them."""
-    real = linalg.certified_rank
+def _spy_on_certified_ranks(monkeypatch):
+    """A list that collects every rank ``linalg.certified_ranks`` returns, None included."""
+    real = linalg.certified_ranks
     certified = []
 
-    def spy(rows, length):
-        certified.append(real(rows, length))
-        return certified[-1]
+    def spy(streams, length):
+        ranks = real(streams, length)
+        certified.extend(ranks)
+        return ranks
 
-    monkeypatch.setattr(linalg, "certified_rank", spy)
+    monkeypatch.setattr(linalg, "certified_ranks", spy)
+    return certified
+
+
+def test_generation_falls_back_to_exact_ranks_for_dependent_products(monkeypatch):
+    """Repeated generators give dependent rows, fewer than the basis: no prime certifies them."""
+    certified = _spy_on_certified_ranks(monkeypatch)
     x1, x2 = families.x_tableau(1, 2), families.x_tableau(2, 2)
     gens = [x1, x1, x2]
     rep = check_generation(SPEC6, 1, generators=gens)
@@ -234,3 +242,35 @@ def test_generation_ranks_on_the_largest_member_match_exact_elimination():
         gens = [t for d in range(1, max_gen_degree + 1) for t in basis(SPEC6, d)]
         rep = check_generation(SPEC6, max_gen_degree)
         assert rep.per_degree == _span_per_degree(SPEC6, gens)
+
+
+W6_RANK12 = RingSpec("omega_n", 12, families.family_index(6, 3), max_degree=4)
+
+
+@pytest.mark.parametrize("spec", [SPEC6, W6_RANK12], ids=["rank8", "rank12"])
+def test_generation_chain_matches_exact_elimination_set_by_set(spec):
+    basis1, basis2 = basis(spec, 1), basis(spec, 2)
+    n = spec.n // 4
+    sets = [basis1, basis1 + [families.y_tableau(1, n)], basis1 + basis2]
+    reports = check_generation_chain(spec, sets)
+    assert [rep.per_degree for rep in reports] == [_span_per_degree(spec, gens) for gens in sets]
+    assert [rep.generated for rep in reports] == [False, True, True]
+
+
+def test_generation_chain_refuses_sets_that_are_not_nested():
+    basis1, basis2 = basis(SPEC6, 1), basis(SPEC6, 2)
+    with pytest.raises(ring.RingError):
+        check_generation_chain(SPEC6, [basis2, basis1])
+    x1 = families.x_tableau(1, 2)
+    # a multiset: one copy of x1 does not contain two
+    with pytest.raises(ring.RingError):
+        check_generation_chain(SPEC6, [[x1, x1], [x1] + basis2])
+
+
+def test_generation_chain_falls_back_to_exact_ranks_for_repeated_generators(monkeypatch):
+    certified = _spy_on_certified_ranks(monkeypatch)
+    x1, x2 = families.x_tableau(1, 2), families.x_tableau(2, 2)
+    sets = [[x1], [x1, x1], [x1, x1, x2]]
+    reports = check_generation_chain(SPEC6, sets)
+    assert None in certified
+    assert [rep.per_degree for rep in reports] == [_span_per_degree(SPEC6, gens) for gens in sets]
