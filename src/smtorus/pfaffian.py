@@ -9,11 +9,14 @@ it is pinned by golden tests on the rank-4 straightening identity.
 The dictionary between Grassmannian index vectors and subsets (the "dual
 pair") makes each transversal index vector i with evenly many entries above n
 a coordinate function q_i = P(B) on the space of skew matrices.  A skew
-point keeps integer numerators over one common denominator den, so the
-Pfaffian recursion runs on Python ints and a sub-Pfaffian on 2m members is its
-integer numerator over den^m.  Products and sums are formed on those integers
-too: a product of coordinates on 2h members in all is one integer over den^h,
-and terms are added per power of den, so each result divides once.
+point keeps integer numerators over one common denominator den (den = 1 for
+a point of integers, whose entries are kept as they are), so the Pfaffian
+recursion runs on Python ints and a sub-Pfaffian on 2m members is its integer
+numerator over den^m.  Sub-Pfaffians on two, four and six members take closed
+forms; only eight or more members recurse.  Products and sums are formed on
+those integers too: a product of coordinates on 2h members in all is one
+integer over den^h, and terms are added per power of den, so each result
+divides once.
 `schubert_point` draws rational points of a Schubert variety in the chart
 around e_1..e_n.
 """
@@ -72,19 +75,24 @@ class EvenCardinalityError(PfaffianError):
 class SkewPoint:
     """A rational skew-symmetric matrix given by its strictly upper entries.
 
-    `upper` holds the rational entries.  `num` holds their integer numerators
-    over one positive common denominator `den`, so a sub-Pfaffian on 2m
-    members is the Pfaffian of the numerators over ``den**m``; the recursion
-    and its memo `_cache` hold Python ints only.
+    `upper` holds the rational entries (`int` or `Fraction`); `entry` reads
+    them as Fractions.  `num` holds their integer numerators over one positive
+    common denominator `den`, so a sub-Pfaffian on 2m members is the Pfaffian
+    of the numerators over ``den**m``; the recursion and its memo `_cache`
+    hold Python ints only.  A point whose entries are all `int` keeps
+    ``den = 1`` and its entries as `num`, with no lcm taken.
     """
 
     n: int
-    upper: dict[tuple[int, int], Fraction]
+    upper: dict[tuple[int, int], int | Fraction]
     _cache: dict[Subset, int] = field(default_factory=dict, repr=False)
     num: dict[tuple[int, int], int] = field(init=False, repr=False)
     den: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        if all(type(v) is int for v in self.upper.values()):
+            self.den, self.num = 1, dict(self.upper)
+            return
         self.den = lcm(*(v.denominator for v in self.upper.values()))
         self.num = {key: v.numerator * (self.den // v.denominator) for key, v in self.upper.items()}
 
@@ -92,16 +100,25 @@ class SkewPoint:
         if i == j:
             return Fraction(0)
         if i < j:
-            return self.upper.get((i, j), Fraction(0))
-        return -self.upper.get((j, i), Fraction(0))
+            return Fraction(self.upper.get((i, j), 0))
+        return -Fraction(self.upper.get((j, i), 0))
 
 
 def skew_point(n: int, upper) -> SkewPoint:
+    """A skew point from its strictly upper entries; `int` entries stay ints.
+
+    Every other entry (`Fraction`, `float`, `bool`) is taken exactly as a
+    `Fraction`.
+
+    >>> pt = skew_point(4, {(1, 2): 3, (3, 4): Fraction(1, 2)})
+    >>> pt.den, pt.num
+    (2, {(1, 2): 6, (3, 4): 1})
+    """
     clean = {}
     for (i, j), v in dict(upper).items():
         if not (1 <= i < j <= n):
             raise PfaffianError(f"bad upper index ({i}, {j}) for size {n}")
-        clean[(i, j)] = Fraction(v)
+        clean[(i, j)] = v if type(v) is int else Fraction(v)
     return SkewPoint(n, clean)
 
 
@@ -217,24 +234,39 @@ def _pf(upper, members: Subset, cache: dict, p: int | None = None):
     `upper` maps (i, j) with i < j to an integer entry; a missing key is 0.
     With a modulus p the entries are residues mod p and so is the value.  Two
     and four members take the closed forms a_12 and
-    a_12 a_34 - a_13 a_24 + a_14 a_23, which are not memoized: only six or
-    more members recurse and fill `cache`.
+    Pf(1234) = a_12 a_34 - a_13 a_24 + a_14 a_23, and six members the 15-term
+    first-row expansion into five such four-member forms,
+    a_12 Pf(3456) - a_13 Pf(2456) + a_14 Pf(2356) - a_15 Pf(2346) + a_16 Pf(2345).
+    None of them is memoized: only eight or more members recurse and fill
+    `cache`.
     """
     size = len(members)
     if size % 2:
         return 0
-    if size <= 4:
+    if size <= 6:
         if not size:
             return 1
         get = upper.get
         if size == 2:
             val = get(members, 0)
-        else:
+        elif size == 4:
             i, j, k, m = members
             val = (
                 get((i, j), 0) * get((k, m), 0)
                 - get((i, k), 0) * get((j, m), 0)
                 + get((i, m), 0) * get((j, k), 0)
+            )
+        else:
+            i, j, k, m, r, s = members
+            jk, jm, jr, js = get((j, k), 0), get((j, m), 0), get((j, r), 0), get((j, s), 0)
+            km, kr, ks = get((k, m), 0), get((k, r), 0), get((k, s), 0)
+            mr, ms, rs = get((m, r), 0), get((m, s), 0), get((r, s), 0)
+            val = (
+                get((i, j), 0) * (km * rs - kr * ms + ks * mr)
+                - get((i, k), 0) * (jm * rs - jr * ms + js * mr)
+                + get((i, m), 0) * (jk * rs - jr * ks + js * kr)
+                - get((i, r), 0) * (jk * ms - jm * ks + js * km)
+                + get((i, s), 0) * (jk * mr - jm * kr + jr * km)
             )
         return val if p is None else val % p
     val = cache.get(members)

@@ -15,6 +15,7 @@ from smtorus.pfaffian import (
     AsymmetricDualPairError,
     EvenCardinalityError,
     NotFullFlagIndexError,
+    PfaffianError,
     SkewPoint,
     dual_pair,
     evaluate_relation,
@@ -238,6 +239,34 @@ def test_skew_point_derives_its_numerators_from_upper():
     assert pfaffian(pt) == matching_sum_pfaffian(pt) == Fraction(1, 3) * 2 - Fraction(5, 6) * 7
 
 
+def test_integer_points_keep_their_entries_over_den_one():
+    """All-int entries skip the lcm: den 1 and num the entries; entry() stays a Fraction."""
+    upper = {(1, 2): 3, (1, 3): -7, (2, 4): 0, (3, 4): 10**20}
+    pt = skew_point(4, upper)
+    assert pt.den == 1 and pt.num == upper and pt.upper == upper
+    assert all(type(v) is int for v in pt.num.values())
+    for (i, j), want in [((1, 2), 3), ((4, 3), -(10**20)), ((1, 4), 0), ((2, 2), 0)]:
+        got = pt.entry(i, j)
+        assert type(got) is Fraction and got == want
+    assert pfaffian(pt) == matching_sum_pfaffian(pt) == 3 * 10**20
+    assert SkewPoint(4, dict(upper)).num == upper
+    for bad in ({(1, 2): 3, (2, 5): 1}, {(2, 1): 3}, {(0, 1): 3}):
+        with pytest.raises(PfaffianError):
+            skew_point(4, bad)
+
+
+def test_mixed_points_take_the_exact_lcm_denominator():
+    """Fraction, float and bool entries are taken exactly; an int among them stays an int."""
+    pt = skew_point(
+        4, {(1, 2): Fraction(1, 2), (1, 3): 0.25, (2, 3): True, (3, 4): Fraction(2, 3), (1, 4): 5}
+    )
+    assert pt.den == 12
+    assert pt.num == {(1, 2): 6, (1, 3): 3, (2, 3): 12, (3, 4): 8, (1, 4): 60}
+    assert all(type(pt.upper[key]) is Fraction for key in [(1, 2), (1, 3), (2, 3), (3, 4)])
+    assert pt.upper[(1, 3)] == Fraction(1, 4) and pt.upper[(2, 3)] == 1
+    assert pfaffian(pt) == matching_sum_pfaffian(pt) == Fraction(1, 2) * Fraction(2, 3) + 5 * 1
+
+
 def _rational_points(max_n, min_n=2):
     """Skew points of size min_n..max_n whose entries are a / b with mixed and negative b."""
     ratio = st.builds(
@@ -258,9 +287,13 @@ def _rational_points(max_n, min_n=2):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_rational_points(6))
+@given(_rational_points(8))
 def test_integer_numerators_match_rational_oracles(pt):
-    """The integer recursion against Fraction matchings and a Span determinant."""
+    """The integer recursion against Fraction matchings and a Span determinant.
+
+    Up to six members `_pf` takes closed forms; size 8 reaches the memoized
+    recursion above them.
+    """
     n = pt.n
     assert pt.den > 0
     assert all(Fraction(pt.num[key], pt.den) == v for key, v in pt.upper.items())
