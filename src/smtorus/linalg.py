@@ -1,27 +1,23 @@
-"""Exact linear algebra over the rationals, with a modular fast path.
+"""Exact linear algebra over the rationals, with modular kernels for integer solves and interpolation.
 
 ``Span`` is the package's one exact elimination: it keeps a row space over
-``fractions.Fraction`` in fully reduced row echelon form, and every membership
-test, kernel, determinant and uncertified rank adds rows to a ``Span`` and
-reads the answer off its pivot rows.  ``_pivot`` is the one elimination mod a
-prime.  ``certified_ranks`` reduces rows through it: rank mod p <= rank over Q
-<= min(rows, columns), so a modular rank that reaches the minimum is the exact
-rank, and otherwise the caller falls back to a ``Span``.  It ranks the
-prefixes of several row streams in one growing echelon basis, so nested
-generator sets share one elimination per degree: each chunk of rows is
-reduced by the basis in one product and pivoted alone.  ``integer_solution``
-reads content-class solves off its reduced rows, and ``inverse_mod`` applies
-its pivots in blocks for interpolation.  Primes are below 2^21: every product
-of residues goes through BLAS in chunks whose sums stay below 2^53, so each
-chunk is exact and needs one reduction.  The word-size bounds are checked
-here; answers mod p are checked exactly, here or by the caller.
+``fractions.Fraction`` in fully reduced row echelon form, each pivot row a
+sparse dict of its nonzero entries, and every rank, membership test, kernel
+and determinant adds rows to a ``Span`` and reads the answer off its pivot
+rows.  Straightened product rows are sparse, so generation ranks stay exact
+and cheap.  ``_pivot`` is the one elimination mod a prime:
+``integer_solution`` reads content-class solves off its reduced rows, and
+``inverse_mod`` applies its pivots in blocks for interpolation.  Primes are
+below 2^21: every product of residues goes through BLAS in chunks whose sums
+stay below 2^53, so each chunk is exact and needs one reduction.  The
+word-size bounds are checked here; answers mod p are checked exactly, here or
+by the caller.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import islice
-from math import lcm
 
 import numpy as np
 
@@ -33,7 +29,6 @@ __all__ = [
     "matvec_mod",
     "inverse_mod",
     "products_mod",
-    "certified_ranks",
     "integer_solution",
     "crt",
     "symmetric_mod",
@@ -44,31 +39,41 @@ PRIMES = (2097143, 2097133, 2097131)
 
 
 class Span:
-    """Incrementally maintained row space over the rationals.
+    """Incrementally maintained row space over the rationals, stored sparsely.
 
     ``pivots`` maps each pivot column to its row of the reduced row echelon
-    form: the row is 1 at its own column and 0 at every other pivot column.
-    The dict keeps the columns in the order their rows were added.
+    form, as a dict ``{column: value}`` holding the nonzero entries only: the
+    row is 1 at its own column and 0 at every other pivot column.  The dict
+    keeps the columns in the order their rows were added.  ``add`` and
+    ``contains`` take a dense sequence or a mapping ``{column: value}``.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self.pivots: dict[int, list[Fraction]] = {}
+        self.pivots: dict[int, dict[int, Fraction]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for col, row in self.pivots.items():
-            c = v[col]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
+    def _reduce(self, vec) -> dict[int, Fraction]:
+        """vec's nonzero entries after clearing every pivot column.
+
+        A pivot row is 0 at the other pivot columns, so clearing one pivot
+        column touches no other: the columns to clear are the pivot columns
+        where vec itself is nonzero.
+        """
+        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+        v = {j: Fraction(x) for j, x in items if x}
+        for col in [j for j in v if j in self.pivots]:
+            c = v.pop(col)
+            for j, x in self.pivots[col].items():
+                if j != col:
+                    _axpy(v, j, -c * x)
         return v
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return not self._reduce(vec)
 
     def add(self, vec) -> Fraction:
         """Insert vec; returns its pivot entry before normalizing.
@@ -77,17 +82,27 @@ class Span:
         ``Fraction(0)`` otherwise.
         """
         v = self._reduce(vec)
-        col = next((j for j, x in enumerate(v) if x), None)
-        if col is None:
+        if not v:
             return Fraction(0)
+        col = min(v)
         pivot = v[col]
-        row = [x / pivot for x in v]
-        for j, other in self.pivots.items():
-            c = other[col]
+        row = {j: x / pivot for j, x in v.items()}
+        for other in self.pivots.values():
+            c = other.get(col)
             if c:
-                self.pivots[j] = [a - c * b for a, b in zip(other, row)]
+                for j, x in row.items():
+                    _axpy(other, j, -c * x)
         self.pivots[col] = row
         return pivot
+
+
+def _axpy(row: dict, j: int, x: Fraction) -> None:
+    """row[j] += x in a sparse row, dropping the entry if it becomes 0."""
+    y = row.get(j, 0) + x
+    if y:
+        row[j] = y
+    else:
+        row.pop(j, None)
 
 
 def kernel_of_columns(vectors):
@@ -107,7 +122,7 @@ def kernel_of_columns(vectors):
         vec = [Fraction(0)] * m
         vec[free] = Fraction(1)
         for col, row in span.pivots.items():
-            vec[col] = -row[free]
+            vec[col] = -row.get(free, Fraction(0))
         basis.append(tuple(vec))
     return basis
 
@@ -262,48 +277,6 @@ def products_mod(qmat, idx, p):
     for col in range(1, idx.shape[1]):
         vals = (vals * qmat[:, idx[:, col]]) % p
     return vals
-
-
-def certified_ranks(streams, length):
-    """Rank of each growing prefix of a list of row streams, or None where p does not certify it.
-
-    The streams are read in order as one stream of rows ``{column: value}``,
-    and entry i is the rank of streams 0..i together.  Every row is consumed
-    and scaled to integers by the lcm of its denominators.  Modulo p =
-    ``PRIMES[0]`` one reduced echelon basis grows: each chunk of ``length``
-    rows is reduced by the basis in one product, ``_pivot`` reduces the chunk
-    alone, a second product clears the chunk's new pivot columns from the
-    basis, and the chunk's pivot rows join it.  Once the basis is full the
-    remaining rows are only counted.  An entry is the rank mod p when that
-    reaches min(rows so far, length), which bounds the rank over Q.  Raises
-    OverflowError if p is too wide for float64.
-    """
-    p = PRIMES[0]
-    _chunk(p)  # the bound check: every product of residues goes through _matmul_mod or _pivot
-    basis = np.zeros((0, length))
-    cols: list[int] = []  # the pivot column of each basis row
-    count = 0
-    ranks = []
-    for stream in streams:
-        rows = iter(stream)
-        while chunk := list(islice(rows, max(length, 1))):
-            count += len(chunk)
-            if len(basis) == length:
-                continue
-            a = np.zeros((len(chunk), length))
-            for i, row in enumerate(chunk):
-                scale = lcm(*(c.denominator for c in row.values()))
-                for j, c in row.items():
-                    a[i, j] = c.numerator * (scale // c.denominator) % p
-            a = (a - _matmul_mod(a[:, cols], basis, p)) % p
-            new = a[: len(_pivot(a, length, p))]
-            # a pivot row is 0 before its pivot column, where it is 1
-            new_cols = np.argmax(new != 0, axis=1).tolist()
-            basis = (basis - _matmul_mod(basis[:, new_cols], new, p)) % p
-            basis = np.concatenate([basis, new])
-            cols += new_cols
-        ranks.append(len(basis) if len(basis) == min(count, length) else None)
-    return ranks
 
 
 def _dense(equations, width):

@@ -212,12 +212,11 @@ def check_generation_chain(spec: RingSpec, generator_sets) -> list[GenerationRep
     Each list must contain the previous one as a multiset.  Per degree, stream
     0 holds the first set's products and stream i the products of set i that
     use one of its generators left over from set i - 1, so streams 0..i hold
-    every product of set i, repeats included.  ``linalg.certified_ranks``
-    ranks those prefixes in one elimination, every row still expanded and
-    checked against the basis.  A rank is exact because rank mod p <= rank
-    over Q <= min(products, basis size); a prefix whose modular rank stays
-    below that bound is redone by one ``linalg.Span`` that grows stream by
-    stream.  One report per set, in order.
+    every product of set i, repeats included.  One exact ``linalg.Span`` grows
+    stream by stream, and the rank of set i is its dimension after stream i.
+    Every product is expanded and checked against the basis; once the span is
+    the whole piece, a product is no longer reduced.  One report per set, in
+    order.
     """
     sets = [list(gens) for gens in generator_sets]
     degrees = [[t.degree for t in gens] for gens in sets]
@@ -226,24 +225,15 @@ def check_generation_chain(spec: RingSpec, generator_sets) -> list[GenerationRep
     for k in range(spec.max_degree + 1):
         bas = basis(spec, k)
         index = {t.rows: i for i, t in enumerate(bas)}
-        streams = []
-        for gens, degs, new in zip(sets, degrees, fresh):
-            products = _degree_multisets(degs, k)
-            if new is not None:
-                products = [ms for ms in products if not new.isdisjoint(ms)]
-            streams.append([[gens[j] for j in ms] for ms in products])
-        dims = linalg.certified_ranks(
-            [(_positions(_expand(f, spec), index) for f in stream) for stream in streams],
-            len(bas),
-        )
         span = linalg.Span(len(bas))
-        for i, dim in enumerate(dims):
-            if None in dims[i:]:
-                for f in streams[i]:
-                    span.add(_coordinates(_expand(f, spec), index))
-            if dim is None:
-                dim = span.dim
-            rows[i].append((k, len(bas), dim, dim == len(bas)))
+        for gens, degs, new, per_degree in zip(sets, degrees, fresh, rows):
+            for ms in _degree_multisets(degs, k):
+                if new is not None and new.isdisjoint(ms):
+                    continue
+                row = _positions(_expand([gens[j] for j in ms], spec), index)
+                if span.dim < len(bas):
+                    span.add(row)
+            per_degree.append((k, len(bas), span.dim, span.dim == len(bas)))
     return [
         GenerationReport(
             max_gen_degree=max(degs, default=0),
@@ -294,13 +284,8 @@ def new_generators(spec: RingSpec, up_to: int):
         span = linalg.Span(len(bas))
         degrees = [g for g, _ in gens]
         for ms in _degree_multisets(degrees, d):
-            exp = _expand([gens[j][1] for j in ms], spec)
-            span.add(_coordinates(exp, index))
-        gens += [
-            (d, t)
-            for t in bas
-            if not span.contains(_coordinates({t.rows: Fraction(1)}, index))
-        ]
+            span.add(_positions(_expand([gens[j][1] for j in ms], spec), index))
+        gens += [(d, t) for i, t in enumerate(bas) if not span.contains({i: 1})]
     return gens
 
 

@@ -343,9 +343,9 @@ def straighten_rows(rows, n, w=None, fuel=None) -> Expansion:
         _bset(r, n)
     w = _proper_index(w, n)
     if fuel is None:
-        # a tripwire, not a semantic bound: unrestricted quadratic expansions
-        # at rank 8 already take several hundred substitutions
-        fuel = 100 * n * max(1, len(rows) // 2)
+        # a tripwire, not a semantic bound: an unrestricted product of two
+        # rank-8 degree-1 basis tableaux takes up to 6,161 substitutions
+        fuel = 1000 * n * max(1, len(rows) // 2)
     work: Expansion = {rows: Fraction(1)}
     if w is not None:
         work = restrict_expansion(work, w)

@@ -11,7 +11,6 @@ from smtorus import linalg
 from smtorus.linalg import (
     PRIMES,
     Span,
-    certified_ranks,
     frac_det,
     integer_solution,
     inverse_mod,
@@ -40,13 +39,6 @@ def test_mod_inverse_refuses_primes_too_wide_for_a_block():
     assert 1 <= linalg._chunk(p) < B
     with pytest.raises(OverflowError):
         inverse_mod(np.ones((1, 1), dtype=np.int64), p)
-
-
-def test_certified_rank_refuses_wide_primes(monkeypatch):
-    monkeypatch.setattr(linalg, "PRIMES", (WIDE,))
-    for rows in ([], [{0: 1}]):
-        with pytest.raises(OverflowError):
-            certified_ranks([iter(rows)], 1)
 
 
 def test_integer_solution_refuses_an_int64_overflow():
@@ -249,7 +241,7 @@ def _span_solution(equations, k, width):
         span.add([equation.get(j, 0) for j in range(width)])
     if sorted(span.pivots) != list(range(k)):
         return None
-    return [[-c for c in span.pivots[j][k:]] for j in range(k)]
+    return [[-span.pivots[j].get(c, 0) for c in range(k, width)] for j in range(k)]
 
 
 def integer_systems():
@@ -311,15 +303,44 @@ def test_integer_solution_checks_equations_past_the_first_block():
     assert integer_solution(equations[:-1], 1, 2).tolist() == [[3]]
 
 
-def _sparse(matrix):
-    return [{j: a for j, a in enumerate(row) if a} for row in matrix]
+def _dense_rref(rows, length):
+    """(pivot columns, reduced rows, determinant) by dense Fraction Gauss-Jordan, with no Span.
+
+    The determinant, meaningful for a square matrix, is the product of the
+    pivots with one sign flip per row swap, and 0 once a column has no pivot.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    cols, det = [], Fraction(1)
+    for j in range(length):
+        r = len(cols)
+        piv = next((i for i in range(r, len(a)) if a[i][j]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det *= a[r][j]
+        a[r] = [x / a[r][j] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][j]:
+                a[i] = [x - a[i][j] * y for x, y in zip(a[i], a[r])]
+        cols.append(j)
+    return cols, a[: len(cols)], det
 
 
-def _span_rank(rows, length):
-    span = Span(length)
-    for row in rows:
-        span.add([row.get(j, 0) for j in range(length)])
-    return span.dim
+def _dense_kernel(vectors):
+    """Kernel of the columns vectors, one vector per free column of the dense RREF."""
+    m = len(vectors)
+    cols, reduced, _ = _dense_rref(list(zip(*vectors)), m)
+    basis = []
+    for free in (j for j in range(m) if j not in cols):
+        vec = [Fraction(0)] * m
+        vec[free] = Fraction(1)
+        for col, row in zip(cols, reduced):
+            vec[col] = -row[free]
+        basis.append(tuple(vec))
+    return basis
 
 
 def _with_combination(drawn):
@@ -335,7 +356,7 @@ def dependent_matrices():
 
 
 def many_row_matrices():
-    """More than twice as many rows as columns, so that certified_ranks reduces several chunks.
+    """More than twice as many rows as columns, so that most rows are dependent.
 
     The rows combine up to three rows of entries in [-5, 5] with coefficients
     in [-1, 1], so the entries stay below 16 in absolute value.
@@ -356,61 +377,99 @@ def many_row_matrices():
     )
 
 
+def _as_input(row, form):
+    """A dense row as Span input: a list, a dict of its nonzeros, or a dict with every zero."""
+    if form == "list":
+        return list(row)
+    if form == "sparse":
+        return {j: x for j, x in enumerate(row) if x}
+    return {j: Fraction(x) for j, x in enumerate(row)}
+
+
+INPUT_FORMS = st.sampled_from(["list", "sparse", "dict with zeros"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dependent_matrices(), many_row_matrices()), st.data())
+def test_span_prefix_ranks_and_rows_match_dense_elimination(matrix, data):
+    """After each row the sparse Span holds the dense RREF of the prefix, whatever the input form."""
+    length = len(matrix[0])
+    span = Span(length)
+    for b, row in enumerate(matrix, 1):
+        before = span.dim
+        pivot = span.add(_as_input(row, data.draw(INPUT_FORMS)))
+        cols, reduced, _ = _dense_rref(matrix[:b], length)
+        assert span.dim == len(cols)
+        assert bool(pivot) == (span.dim > before)
+        assert span.pivots == {
+            col: {j: x for j, x in enumerate(r) if x} for col, r in zip(cols, reduced)
+        }
+        assert all(type(x) is Fraction for r in span.pivots.values() for x in r.values())
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(dependent_matrices(), many_row_matrices()))
 def test_certified_rank_matches_exact_elimination(matrix):
-    """Minors of these entries stay far below PRIMES[0], so the rank mod p is the rank."""
-    rows, length = _sparse(matrix), len(matrix[0])
-    exact = _span_rank(rows, length)
-    (got,) = certified_ranks([iter(rows)], length)
-    assert (got is None) == (exact < min(len(rows), length))
-    assert got is None or got == exact
+    """The rank of sparse rows, as generation ranks are taken, is the dense Fraction rank."""
+    length = len(matrix[0])
+    span = Span(length)
+    for row in matrix:
+        span.add(_as_input(row, "sparse"))
+    assert span.dim == len(_dense_rref(matrix, length)[0])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(dependent_matrices(), many_row_matrices()), st.data())
 def test_certified_ranks_of_stream_prefixes_match_exact_elimination(matrix, data):
-    """Rows cut into 1-4 streams, some empty: each prefix's rank is its exact rank or None."""
-    rows, length = _sparse(matrix), len(matrix[0])
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
-    bounds = list(zip([0] + cuts, cuts + [len(rows)]))
-    got = certified_ranks([iter(rows[a:b]) for a, b in bounds], length)
-    assert len(got) == len(bounds)
-    for rank, (_, b) in zip(got, bounds):
-        exact = _span_rank(rows[:b], length)
-        assert rank is None or rank == exact
-        # the minors stay below p, so rows independent over Q are independent mod p
-        assert (rank is None) == (exact < min(b, length))
+    """Rows cut into 1-4 streams, some empty, fed to one Span: each prefix's dim is its dense rank."""
+    length = len(matrix[0])
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(matrix)), max_size=3)))
+    span = Span(length)
+    for a, b in zip([0] + cuts, cuts + [len(matrix)]):
+        for row in matrix[a:b]:
+            span.add(_as_input(row, "sparse"))
+        assert span.dim == len(_dense_rref(matrix[:b], length)[0])
 
 
-def test_certified_rank_declines_rows_that_vanish_mod_p():
-    p = PRIMES[0]
-    rows = [{0: p, 1: 2 * p}, {1: p}]
-    assert _span_rank(rows, 2) == 2
-    assert certified_ranks([iter(rows)], 2) == [None]
-    assert certified_ranks([iter(rows[:1]), iter(rows[1:])], 2) == [None, None]
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dependent_matrices(), many_row_matrices()), st.data())
+def test_span_dim_and_rows_do_not_depend_on_row_order(matrix, data):
+    length = len(matrix[0])
+    spans = []
+    for rows in (matrix, data.draw(st.permutations(matrix))):
+        span = Span(length)
+        for row in rows:
+            span.add(_as_input(row, data.draw(INPUT_FORMS)))
+        spans.append(span)
+    assert spans[0].dim == spans[1].dim
+    assert spans[0].pivots == spans[1].pivots
 
 
-def test_certified_rank_scales_out_a_denominator_of_p():
-    """1/p has no residue; mapped to 0 it would make these dependent rows look independent."""
-    p = PRIMES[0]
-    dependent = [{0: Fraction(1, p), 1: 1}, {0: 1, 1: p}]
-    assert _span_rank(dependent, 2) == 1
-    assert certified_ranks([iter(dependent)], 2) == [None]
-    assert certified_ranks([iter(dependent[:1]), iter(dependent[1:])], 2) == [1, None]
-    independent = [{0: Fraction(1, p), 1: 1}, {1: Fraction(3, 2 * p)}]
-    assert certified_ranks([iter(independent)], 2) == [_span_rank(independent, 2)] == [2]
+@settings(max_examples=200, deadline=None)
+@given(dependent_matrices(), st.data())
+def test_span_contains_matches_dense_rank(matrix, data):
+    """A probe is in the span exactly when appending it leaves the dense rank unchanged."""
+    length = len(matrix[0])
+    span = Span(length)
+    for row in matrix:
+        span.add(_as_input(row, data.draw(INPUT_FORMS)))
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(matrix), max_size=len(matrix)))
+    combination = [sum(c * row[j] for c, row in zip(coeffs, matrix)) for j in range(length)]
+    other = data.draw(st.lists(ENTRY, min_size=length, max_size=length))
+    rank = len(_dense_rref(matrix, length)[0])
+    for probe in (combination, other, [0] * length):
+        expected = len(_dense_rref(matrix + [probe], length)[0]) == rank
+        assert span.contains(_as_input(probe, data.draw(INPUT_FORMS))) == expected
+    assert span.contains(_as_input(combination, "list"))
 
 
-def test_certified_rank_consumes_every_row():
-    rows = [{0: 1}, {0: 2}, {0: 3}, {}]
-    seen = []
-    assert certified_ranks([(seen.append(row) or row for row in rows)], 1) == [1]
-    assert seen == rows
-    seen.clear()
-    streams = [rows[:1], [], rows[1:]]
-    assert certified_ranks([(seen.append(row) or row for row in s) for s in streams], 1) == [1, 1, 1]
-    assert seen == rows
-    assert certified_ranks([iter([])], 3) == [0]
-    assert certified_ranks([iter([{}])], 0) == [0]
-    assert certified_ranks([], 3) == []
+@settings(max_examples=200, deadline=None)
+@given(rect_matrices())
+def test_kernel_of_columns_matches_dense_elimination(vectors):
+    assert kernel_of_columns(vectors) == _dense_kernel(vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_frac_det_matches_dense_elimination(matrix):
+    assert frac_det(matrix) == _dense_rref(matrix, len(matrix))[2]

@@ -312,7 +312,7 @@ def _fraction_chart(rows):
     for r in rows:
         span.add(r)
     assert list(span.pivots) == list(range(n))
-    return [span.pivots[k][n:] for k in range(n)]
+    return [[span.pivots[k].get(j, 0) for j in range(n, 2 * n)] for k in range(n)]
 
 
 W6 = families.family_index(6, 2)

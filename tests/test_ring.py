@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from smtorus import families, linalg, ring, tableau
+from smtorus import families, ring, tableau
 from smtorus.ring import (
     AmbiguousMatchError,
     RingSpec,
@@ -16,6 +18,7 @@ from smtorus.ring import (
     relations_in_degree,
     veronese_hilbert,
 )
+from smtorus.straighten import BasisMismatchError
 
 FULL4 = RingSpec("omega_n", 4, (5, 6, 7, 8), max_degree=4)
 
@@ -198,41 +201,49 @@ def test_generation_by_minimal_set_on_largest_member():
 SPEC6 = RingSpec("omega_n", 8, families.family_index(6, 2), max_degree=4)
 
 
+def _dense_rank(rows):
+    """Rank of dense rows by Fraction elimination, sharing no code with linalg.Span.
+
+    Each row is reduced by the echelon rows found so far, column by column; a
+    rank equal to the width cannot grow, so the remaining rows are skipped.
+    """
+    width = len(rows[0]) if rows else 0
+    echelon = {}  # leading column -> row, 1 there and 0 before it
+    for row in rows:
+        if len(echelon) == width:
+            break
+        v = [Fraction(x) for x in row]
+        for j in range(width):
+            if v[j] and j in echelon:
+                c = v[j]
+                v = [x - c * y for x, y in zip(v, echelon[j])]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            echelon[lead] = [x / v[lead] for x in v]
+    return len(echelon)
+
+
 def _span_per_degree(spec, gens):
-    """check_generation's rows computed by exact elimination alone."""
+    """check_generation's rows, ranked by dense elimination of every product."""
     degrees = [t.degree for t in gens]
     rows = []
     for k in range(spec.max_degree + 1):
         bas = basis(spec, k)
         index = {t.rows: i for i, t in enumerate(bas)}
-        span = linalg.Span(len(bas))
-        for ms in ring._degree_multisets(degrees, k):
-            span.add(ring._coordinates(ring._expand([gens[j] for j in ms], spec), index))
-        rows.append((k, len(bas), span.dim, span.dim == len(bas)))
+        products = [
+            ring._coordinates(ring._expand([gens[j] for j in ms], spec), index)
+            for ms in ring._degree_multisets(degrees, k)
+        ]
+        rank = _dense_rank(products)
+        rows.append((k, len(bas), rank, rank == len(bas)))
     return tuple(rows)
 
 
-def _spy_on_certified_ranks(monkeypatch):
-    """A list that collects every rank ``linalg.certified_ranks`` returns, None included."""
-    real = linalg.certified_ranks
-    certified = []
-
-    def spy(streams, length):
-        ranks = real(streams, length)
-        certified.extend(ranks)
-        return ranks
-
-    monkeypatch.setattr(linalg, "certified_ranks", spy)
-    return certified
-
-
-def test_generation_falls_back_to_exact_ranks_for_dependent_products(monkeypatch):
-    """Repeated generators give dependent rows, fewer than the basis: no prime certifies them."""
-    certified = _spy_on_certified_ranks(monkeypatch)
+def test_generation_ranks_dependent_products_exactly():
+    """Repeated generators give dependent rows, fewer than the basis."""
     x1, x2 = families.x_tableau(1, 2), families.x_tableau(2, 2)
     gens = [x1, x1, x2]
     rep = check_generation(SPEC6, 1, generators=gens)
-    assert None in certified
     assert rep.per_degree == _span_per_degree(SPEC6, gens)
     assert not rep.generated
 
@@ -267,10 +278,29 @@ def test_generation_chain_refuses_sets_that_are_not_nested():
         check_generation_chain(SPEC6, [[x1, x1], [x1] + basis2])
 
 
-def test_generation_chain_falls_back_to_exact_ranks_for_repeated_generators(monkeypatch):
-    certified = _spy_on_certified_ranks(monkeypatch)
+def test_generation_chain_ranks_repeated_generators_exactly():
     x1, x2 = families.x_tableau(1, 2), families.x_tableau(2, 2)
     sets = [[x1], [x1, x1], [x1, x1, x2]]
     reports = check_generation_chain(SPEC6, sets)
-    assert None in certified
     assert [rep.per_degree for rep in reports] == [_span_per_degree(SPEC6, gens) for gens in sets]
+
+
+def test_generation_chain_checks_every_product_once_the_span_is_full(monkeypatch):
+    """Rows past a full span are not reduced, but each is still expanded and checked."""
+    expanded = []
+    real = ring._expand
+
+    def spy(factors, spec):
+        expanded.append(tuple(t.rows for t in factors))
+        if len(expanded) == 4:
+            return {((1, 2, 3, 4),): Fraction(1)}  # one row: no degree-1 basis tableau
+        return real(factors, spec)
+
+    monkeypatch.setattr(ring, "_expand", spy)
+    spec = RingSpec("omega_n", 4, (3, 4, 7, 8), max_degree=1)
+    # the empty product, then the two line generators fill the 2-dimensional
+    # degree-1 piece; the last product, of the repeated generator, comes after
+    gens = basis(spec, 1)
+    with pytest.raises(BasisMismatchError):
+        check_generation_chain(spec, [gens, gens + gens[:1]])
+    assert expanded[-1] == (gens[0].rows,)

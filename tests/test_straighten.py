@@ -164,6 +164,20 @@ def test_fuel_exhaustion_is_loud():
         straighten_rows(((1, 4, 6, 7), (2, 3, 5, 8)), 4, fuel=0)
 
 
+def test_default_fuel_covers_a_product_of_two_rank8_basis_tableaux():
+    """This product takes 1,644 substitutions, just above 100 * n per row pair."""
+    rows = (
+        (1, 2, 5, 6, 7, 8, 13, 14),
+        (3, 4, 9, 10, 11, 12, 15, 16),
+        (1, 3, 4, 6, 9, 10, 12, 15),
+        (2, 5, 7, 8, 11, 13, 14, 16),
+    )
+    exp = straighten_rows(rows, 8)
+    assert all(is_standard_rows(key) for key in exp)
+    pt = random_skew_point(8, Random(5), 1, 999983)
+    assert evaluate_rows(rows, pt) == evaluate_expansion(exp, pt)
+
+
 def test_path_independence_rank4_all_quadratics():
     reps = weyl.minimal_coset_reps_alpha_n(4)
     for b1, b2 in combinations_with_replacement(reps, 2):
